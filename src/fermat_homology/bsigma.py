@@ -53,22 +53,8 @@ def bsigma_p3(c0: int, c1: int) -> GroupRingElement:
 
 def bsigma_p3_from_psi(c1: int, c2: int) -> GroupRingElement:
     """The same unit parametrized by the two differential coefficients
-    (c_1, c_2); equivalent to bsigma_p3(c_2 - c_1, c_1)."""
-    c1 %= 3
-    c2 %= 3
-    d = (c2 - c1) % 3
-    b00 = (1 + d - d * d) % 3
-    b01 = (c1 - d * d) % 3
-    b11 = (-c1 - d * d) % 3
-    b02 = (1 - b00 - b01) % 3
-    b12 = (-b01 - b11) % 3
-    b22 = (-b02 - b12) % 3
-    grid = [
-        [b00, b01, b02],
-        [b01, b11, b12],
-        [b02, b12, b22],
-    ]
-    return GroupRingElement.from_grid(3, grid)
+    (c_1, c_2), which is bsigma_p3(c_2 - c_1, c_1)."""
+    return bsigma_p3((c2 - c1) % 3, c1)
 
 
 def bsigma(p: int, coords) -> GroupRingElement:

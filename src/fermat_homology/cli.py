@@ -4,7 +4,8 @@ Subcommands: bsigma, psi, homology, cohomology, cyclotomic and
 reproduce-paper.  Text output is deterministic; --json switches every
 subcommand to machine-readable output that round-trips through the
 library's deserializers.  Exit codes: 0 on success (and when every check
-passes), 1 when a requested check fails, 2 on usage errors.
+passes), 1 when a requested check fails, 2 on usage errors, including
+inputs the library rejects, which print one line to stderr.
 """
 
 from __future__ import annotations
@@ -256,7 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
-"""Exact dense linear algebra over a prime field Z/p.
+"""Exact linear algebra over a prime field Z/p.
 
 Matrices are immutable row-major tables of residues.  Canonical bases are
 produced by reduced row echelon form with pivots ordered left to right, so
-every computation is deterministic across runs.  Maps written as matrices
+every computation is deterministic across runs.  Elimination and products
+touch only the nonzero entries of a row, so the sparse matrices of the
+cohomology complexes stay cheap.  Elimination expects entries already
+reduced into [0, p).  ``solve_many`` answers a batch of right-hand sides
+with one elimination of the augmented matrix.  Maps written as matrices
 follow the row convention used throughout the package: row k of a matrix
 holds the coordinates of the image of the k-th basis vector, and vectors
 act on the left (v -> v @ M).  The kernel/image helpers below are plain
@@ -34,7 +38,7 @@ class FpMatrix:
     def from_rows(cls, p: int, rows) -> "FpMatrix":
         if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
-        table = tuple(tuple(int(x) % p for x in row) for row in rows)
+        table = tuple(tuple([int(x) % p for x in row]) for row in rows)
         nrows = len(table)
         ncols = len(table[0]) if nrows else 0
         if any(len(row) != ncols for row in table):
@@ -60,27 +64,26 @@ class FpMatrix:
             raise ValueError("incompatible shapes for matrix product")
         p = self.p
         cols = other.cols
+        supports = [[(j, x) for j, x in enumerate(row) if x] for row in other.entries]
         out = []
         for row in self.entries:
             acc = [0] * cols
-            for k, a in enumerate(row):
+            for a, support in zip(row, supports):
                 if a:
-                    orow = other.entries[k]
-                    for j in range(cols):
-                        acc[j] += a * orow[j]
-            out.append([x % p for x in acc])
-        return FpMatrix.from_rows(p, out)
+                    for j, x in support:
+                        acc[j] += a * x
+            out.append(tuple([x % p for x in acc]))
+        return FpMatrix(p, self.rows, cols, tuple(out))
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.p, self.rows, self.cols) != (other.p, other.rows, other.cols):
             raise ValueError("incompatible shapes for matrix sum")
-        return FpMatrix.from_rows(
-            self.p,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
+        p = self.p
+        entries = tuple(
+            tuple([(a + b) % p for a, b in zip(ra, rb)])
+            for ra, rb in zip(self.entries, other.entries)
         )
+        return FpMatrix(p, self.rows, self.cols, entries)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         return self + other.scale(-1)
@@ -121,7 +124,11 @@ class FpMatrix:
 
 
 def _rref(p: int, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+    """Reduced row echelon form in place; returns (rows, pivot columns).
+
+    Entries must already lie in [0, p).  Each elimination step updates only
+    the columns where the normalized pivot row is nonzero.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
@@ -129,18 +136,23 @@ def _rref(p: int, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     for col in range(ncols):
         sel = -1
         for i in range(r, nrows):
-            if rows[i][col] % p:
+            if rows[i][col]:
                 sel = i
                 break
         if sel < 0:
             continue
         rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
+        prow = rows[r]
+        inv = pow(prow[col], p - 2, p)
+        if inv != 1:
+            prow = rows[r] = [(x * inv) % p for x in prow]
+        support = [(j, x) for j, x in enumerate(prow) if x]
         for i in range(nrows):
-            if i != r and rows[i][col] % p:
-                c = rows[i][col] % p
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            c = row[col]
+            if c and i != r:
+                for j, x in support:
+                    row[j] = (row[j] - c * x) % p
         pivots.append(col)
         r += 1
         if r == nrows:
@@ -150,7 +162,7 @@ def _rref(p: int, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 def row_space_basis(p: int, vectors) -> list[Vector]:
     """Canonical (RREF) basis of the span of the given row vectors."""
-    rows = [list(v) for v in vectors]
+    rows = [[x % p for x in v] for v in vectors]
     if not rows:
         return []
     reduced, pivots = _rref(p, rows)
@@ -205,24 +217,37 @@ def image_basis(m: FpMatrix) -> list[Vector]:
     return row_space_basis(m.p, zip(*m.entries)) if m.rows else []
 
 
-def solve(m: FpMatrix, b: Vector) -> Vector | None:
-    """One solution x of M x = b, or None when the system is inconsistent.
+def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
+    """For each b in ``bs``, one solution x of M x = b, or None when that
+    system is inconsistent.
 
-    Free coordinates are set to zero, which makes the answer deterministic.
+    One elimination of [M | b_1 ... b_k] serves every right-hand side.  Free
+    coordinates are set to zero, which makes the answers deterministic.
     """
     p = m.p
-    if len(b) != m.rows:
+    bs = [[int(x) % p for x in b] for b in bs]
+    if any(len(b) != m.rows for b in bs):
         raise ValueError("right-hand side length does not match row count")
-    rows = [list(r) + [int(x) % p] for r, x in zip(m.entries, b)]
-    if not rows:
-        return ()
+    if not m.rows:
+        return [() for _ in bs]
+    rows = [list(r) + [b[i] for b in bs] for i, r in enumerate(m.entries)]
     reduced, pivots = _rref(p, rows)
-    if m.cols in pivots:
-        return None
-    x = [0] * m.cols
-    for i, col in enumerate(pivots):
-        x[col] = reduced[i][m.cols]
-    return tuple(x)
+    rank = sum(1 for col in pivots if col < m.cols)
+    out: list[Vector | None] = []
+    for col in range(m.cols, m.cols + len(bs)):
+        if any(reduced[i][col] for i in range(rank, m.rows)):
+            out.append(None)
+            continue
+        x = [0] * m.cols
+        for i in range(rank):
+            x[pivots[i]] = reduced[i][col]
+        out.append(tuple(x))
+    return out
+
+
+def solve(m: FpMatrix, b: Vector) -> Vector | None:
+    """One solution x of M x = b, or None when the system is inconsistent."""
+    return solve_many(m, [b])[0]
 
 
 @dataclass(frozen=True)

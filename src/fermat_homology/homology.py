@@ -175,11 +175,7 @@ def action_matrix(
     if modulo:
         columns = columns + [rc.vector() for rc in modulo]
     system = fp_linalg.FpMatrix.from_rows(n, columns).transpose()
-    rows = []
-    for rc in basis:
-        image = b * rc.w
-        x = fp_linalg.solve(system, image.coeffs)
-        if x is None:
-            raise NotInvariant("multiplication left the span of the basis")
-        rows.append(x[: len(basis)])
-    return fp_linalg.FpMatrix.from_rows(n, rows)
+    solutions = fp_linalg.solve_many(system, [(b * rc.w).coeffs for rc in basis])
+    if any(x is None for x in solutions):
+        raise NotInvariant("multiplication left the span of the basis")
+    return fp_linalg.FpMatrix.from_rows(n, [x[: len(basis)] for x in solutions])

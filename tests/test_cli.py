@@ -98,3 +98,20 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["homology", "--which", "nonsense"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["homology", "--n", "2"], "exponent must be at least 3, got 2"),
+        (["bsigma", "--p", "5"], "B reconstruction is implemented for p=3, got p=5"),
+        (["psi", "--coords", "1,x"], "invalid literal for int() with base 10: 'x'"),
+        (["cyclotomic", "--p", "29"], "p=29 exceeds the configured bound 23"),
+    ],
+)
+def test_rejected_input_prints_one_line_and_exits_two(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"fermat-homology: error: {message}\n"

@@ -237,3 +237,50 @@ def test_quotient_action_is_well_defined():
             for rc in reps
         ]
         assert action_matrix(bsigma_p3(1, 0), perturbed, modulo=stab) == base
+
+
+def action_matrix_one_solve_per_vector(b, basis, modulo=None):
+    """Reference action matrix: one solve for each basis vector's image."""
+    n = b.n
+    columns = [rc.vector() for rc in basis] + [rc.vector() for rc in modulo or []]
+    system = fl.FpMatrix.from_rows(n, columns).transpose()
+    rows = []
+    for rc in basis:
+        x = fl.solve(system, (b * rc.w).coeffs)
+        assert x is not None
+        rows.append(x[: len(basis)])
+    return fl.FpMatrix.from_rows(n, rows)
+
+
+def natural_generators(n):
+    return [
+        GroupRingElement.monomial(n, 1, (1, 0)),
+        GroupRingElement.monomial(n, 1, (0, 1)),
+        GroupRingElement.monomial(n, 1, (2, 1)),
+    ]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_batched_action_matrix_matches_one_solve_per_vector_on_h1u(n):
+    basis = h1U_basis(n)
+    for b in natural_generators(n):
+        assert action_matrix(b, basis) == action_matrix_one_solve_per_vector(b, basis)
+
+
+def test_batched_action_matrix_matches_one_solve_per_vector_on_h1x():
+    n = 5
+    reps = [
+        RelativeClass(GroupRingElement(n, 1, Zmod(n), tuple(v)))
+        for v in h1X_subquotient(n).coset_basis
+    ]
+    stab = stab_basis(n)
+    for b in natural_generators(n):
+        expected = action_matrix_one_solve_per_vector(b, reps, modulo=stab)
+        assert action_matrix(b, reps, modulo=stab) == expected
+
+
+def test_batched_action_matrix_rejects_an_image_outside_the_span():
+    # the span of all corner classes but the last is not e_0-invariant
+    basis = h1U_basis(5)[:-1]
+    with pytest.raises(NotInvariant):
+        action_matrix(GroupRingElement.monomial(5, 1, (1, 0)), basis)
