@@ -230,7 +230,7 @@ def b_map_analysis() -> BMapReport:
     elements = group_elements(3)
     rows = [bsigma_p3(*g.c).coeffs for g in elements]
     matrix = fp_linalg.FpMatrix.from_rows(3, rows)
-    image_dim = len(fp_linalg.image_basis(matrix.transpose()))
+    image_span = fp_linalg.row_space_basis(3, matrix.entries)
     kernel_dim = len(fp_linalg.kernel_basis(matrix.transpose()))
     zero = GroupRingElement.zero(3, 1)
     relation_flags = []
@@ -241,11 +241,10 @@ def b_map_analysis() -> BMapReport:
             total = total + bsigma_p3(*coords).scale(coeff)
         relation_flags.append(total.is_zero())
         relation_names.append(name)
-    image_span = fp_linalg.row_space_basis(3, rows)
     shape_span = fp_linalg.row_space_basis(3, _image_shape_basis())
     shape_ok = image_span == shape_span
     return BMapReport(
-        image_dim=image_dim,
+        image_dim=len(image_span),
         kernel_dim=kernel_dim,
         relations=tuple(relation_flags),
         relation_names=tuple(relation_names),

@@ -41,10 +41,7 @@ class GModule:
                 raise InvalidAction(f"{name} action has the wrong shape or modulus")
             if fp_linalg.rank(act) != self.dim:
                 raise InvalidAction(f"{name} action is not invertible")
-            power = act
-            for _ in range(self.p - 1):
-                power = power @ act
-            if power != FpMatrix.identity(self.p, self.dim):
+            if act.power(self.p) != FpMatrix.identity(self.p, self.dim):
                 raise InvalidAction(f"{name} action does not have order dividing p")
         left = self.act_sigma @ self.act_tau
         right = self.act_tau @ self.act_sigma
@@ -52,13 +49,14 @@ class GModule:
             raise InvalidAction("the two actions do not commute")
 
 
-def _norm(act: FpMatrix, p: int, dim: int) -> FpMatrix:
-    total = FpMatrix.identity(p, dim)
-    power = FpMatrix.identity(p, dim)
-    for _ in range(p - 1):
-        power = power @ act
-        total = total + power
-    return total
+def _norm(act: FpMatrix) -> FpMatrix:
+    """1 + a + ... + a^(p-1), computed as (1 - a)^(p-1).
+
+    The two agree for every square matrix a over F_p, because
+    (x^p - 1)/(x - 1) = (x - 1)^(p-1) in F_p[x] and p - 1 is even for odd
+    p (for p = 2, -1 = 1).
+    """
+    return (FpMatrix.identity(act.p, act.rows) - act).power(act.p - 1)
 
 
 def _assemble(p: int, layout, dim: int) -> FpMatrix:
@@ -72,8 +70,8 @@ def _assemble(p: int, layout, dim: int) -> FpMatrix:
                     row.extend([0] * dim)
                 else:
                     row.extend(block.entries[i])
-            rows.append(row)
-    return FpMatrix.from_rows(p, rows)
+            rows.append(tuple(row))
+    return FpMatrix(p, len(rows), len(layout[0]) * dim, tuple(rows))
 
 
 def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
@@ -82,8 +80,8 @@ def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
     ident = FpMatrix.identity(p, dim)
     s = ident - mod.act_sigma
     t = ident - mod.act_tau
-    u = _norm(mod.act_sigma, p, dim)
-    v = _norm(mod.act_tau, p, dim)
+    u = _norm(mod.act_sigma)
+    v = _norm(mod.act_tau)
     x = _assemble(p, [[s, t]], dim)
     y = _assemble(p, [[u, t, None], [None, s.scale(-1), v]], dim)
     z = _assemble(
@@ -103,7 +101,7 @@ def _map_kernel(m: FpMatrix) -> list[tuple[int, ...]]:
 
 
 def _map_image(m: FpMatrix) -> list[tuple[int, ...]]:
-    return fp_linalg.image_basis(m.transpose())
+    return fp_linalg.row_space_basis(m.p, m.entries)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,15 @@
 
 Matrices are immutable row-major tables of residues.  Canonical bases are
 produced by reduced row echelon form with pivots ordered left to right, so
-every computation is deterministic across runs.  Elimination and products
-touch only the nonzero entries of a row, so the sparse matrices of the
-cohomology complexes stay cheap.  Elimination expects entries already
+every computation is deterministic across runs.  Elimination, products and
+reductions touch only the nonzero entries of a row, so the sparse matrices
+of the cohomology complexes stay cheap.  Elimination expects entries already
 reduced into [0, p).  ``solve_many`` answers a batch of right-hand sides
-with one elimination of the augmented matrix.  Maps written as matrices
+with one elimination of the augmented matrix.  ``kernel_basis`` needs one
+elimination too: it scans the columns right to left, and the free-column
+vectors of that elimination are already the canonical (RREF) kernel basis,
+so they need no second reduction.  ``FpMatrix.power`` raises a square
+matrix to a power by repeated squaring.  Maps written as matrices
 follow the row convention used throughout the package: row k of a matrix
 holds the coordinates of the image of the k-th basis vector, and vectors
 act on the left (v -> v @ M).  The kernel/image helpers below are plain
@@ -47,17 +51,18 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":
-        return cls.from_rows(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if not is_prime(p):
+            raise ValueError(f"modulus must be prime, got {p}")
+        rows = tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
+        return cls(p, n, n, rows)
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
         return cls.from_rows(p, [[0] * cols for _ in range(rows)])
 
     def transpose(self) -> "FpMatrix":
-        rows = [
-            [self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)
-        ]
-        return FpMatrix(self.p, self.cols, self.rows, tuple(tuple(r) for r in rows))
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return FpMatrix(self.p, self.cols, self.rows, entries)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.cols != other.rows:
@@ -75,6 +80,23 @@ class FpMatrix:
             out.append(tuple([x % p for x in acc]))
         return FpMatrix(p, self.rows, cols, tuple(out))
 
+    def power(self, k: int) -> "FpMatrix":
+        """M^k for a square M and k >= 0, by repeated squaring."""
+        if self.rows != self.cols:
+            raise NotSquare(f"matrix power needs a square matrix, got {self.rows}x{self.cols}")
+        if k < 0:
+            raise ValueError(f"exponent must be non-negative, got {k}")
+        result = None
+        square = self
+        while True:
+            if k & 1:
+                result = square if result is None else result @ square
+            k >>= 1
+            if not k:
+                break
+            square = square @ square
+        return FpMatrix.identity(self.p, self.rows) if result is None else result
+
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.p, self.rows, self.cols) != (other.p, other.rows, other.cols):
             raise ValueError("incompatible shapes for matrix sum")
@@ -89,7 +111,10 @@ class FpMatrix:
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix.from_rows(self.p, [[c * x for x in row] for row in self.entries])
+        p = self.p
+        c %= p
+        entries = tuple(tuple([(c * x) % p for x in row]) for row in self.entries)
+        return FpMatrix(p, self.rows, self.cols, entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -175,7 +200,9 @@ def reduce_vector(p: int, v: Vector, basis: list[Vector], pivots: list[int]) -> 
     for row, col in zip(basis, pivots):
         c = out[col]
         if c:
-            out = [(x - c * y) % p for x, y in zip(out, row)]
+            for j, y in enumerate(row):
+                if y:
+                    out[j] = (out[j] - c * y) % p
     return tuple(out)
 
 
@@ -194,22 +221,30 @@ def rank(m: FpMatrix) -> int:
 
 
 def kernel_basis(m: FpMatrix) -> list[Vector]:
-    """Canonical basis of {v : M v = 0} (column convention)."""
-    p = m.p
-    rows = [list(r) for r in m.entries]
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(m.cols)) for i in range(m.cols)]
-    reduced, pivots = _rref(p, rows)
+    """Canonical basis of {v : M v = 0} (column convention).
+
+    One elimination of M with its columns reversed, so pivots are chosen
+    from the right.  Each reduced row is then nonzero only at its pivot and
+    at free columns left of it, so the vector of free column f,
+    e_f - sum_i r_i[f] e_{pivot_i}, has its leading 1 at f and vanishes at
+    every other free column.  Listed by increasing f, these vectors are
+    already the RREF basis of the kernel.
+    """
+    p, n = m.p, m.cols
+    reduced, pivots = _rref(p, [list(reversed(r)) for r in m.entries])
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
     vectors = []
-    for f in free_cols:
-        v = [0] * m.cols
-        v[f] = 1
-        for i, col in enumerate(pivots):
-            v[col] = (-reduced[i][f]) % p
-        vectors.append(v)
-    return row_space_basis(p, vectors)
+    for f in range(n - 1, -1, -1):
+        if f in pivot_set:
+            continue
+        v = [0] * n
+        v[n - 1 - f] = 1
+        for row, col in zip(reduced, pivots):
+            x = row[f]
+            if x:
+                v[n - 1 - col] = p - x
+        vectors.append(tuple(v))
+    return vectors
 
 
 def image_basis(m: FpMatrix) -> list[Vector]:

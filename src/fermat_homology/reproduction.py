@@ -250,7 +250,7 @@ def _check_listed_bases(tables, out):
         )
     )
 
-    image = fp_linalg.image_basis(x.transpose())
+    image = fp_linalg.row_space_basis(x.p, x.entries)
     image_pivots = fp_linalg.pivot_columns(image)
     listed_image = tables.image_x_vectors()
     in_image = [

@@ -8,6 +8,7 @@ from fermat_homology import fp_linalg as fl
 from fermat_homology.bsigma import bsigma_p3
 from fermat_homology.cohomology import (
     GModule,
+    _norm,
     annihilator,
     build_complex,
     h1u_module,
@@ -27,8 +28,9 @@ from oracles import bar_cohomology_trivial, closure_rank, degree_one_coboundary
 
 def random_commuting_module(rng, p=3, dim=6):
     """Random order-p commuting pair: conjugates of I + N and a polynomial
-    in N for a three-block strictly upper triangular nilpotent N."""
-    cut1, cut2 = dim // 3, 2 * dim // 3
+    in N for a three-block strictly upper triangular nilpotent N (two
+    blocks for p = 2, so that N^2 = 0 and I + N has order 2)."""
+    cut1, cut2 = (dim // 3, 2 * dim // 3) if p > 2 else (dim // 2, dim)
     block = lambda i: 0 if i < cut1 else (1 if i < cut2 else 2)
     nil = [
         [rng.randrange(p) if block(j) > block(i) else 0 for j in range(dim)]
@@ -60,6 +62,45 @@ def test_gmodule_rejects_wrong_order():
     a = fl.FpMatrix.from_rows(3, [[2]])
     with pytest.raises(InvalidAction):
         GModule(3, 1, a, fl.FpMatrix.identity(3, 1))
+
+
+SHIFT_UP = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+SHIFT_DOWN = [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
+SWAP = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+SINGULAR = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize(
+    "sigma, tau, message",
+    [
+        (SWAP, None, "sigma action does not have order dividing p"),
+        (None, SWAP, "tau action does not have order dividing p"),
+        ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], None, "sigma action does not have order dividing p"),
+        (None, [[1, 0, 0], [0, 2, 0], [0, 0, 1]], "tau action does not have order dividing p"),
+        (SINGULAR, None, "sigma action is not invertible"),
+        (None, SINGULAR, "tau action is not invertible"),
+        (SHIFT_UP, SHIFT_DOWN, "the two actions do not commute"),
+    ],
+)
+def test_gmodule_rejections_at_larger_primes(p, sigma, tau, message):
+    sigma, tau = (
+        fl.FpMatrix.identity(p, 3) if rows is None else fl.FpMatrix.from_rows(p, rows)
+        for rows in (sigma, tau)
+    )
+    with pytest.raises(InvalidAction, match=f"^{message}$"):
+        GModule(p, 3, sigma, tau)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_norm_equals_the_sum_of_powers(p):
+    mod = random_commuting_module(random.Random(f"norm/{p}"), p=p)
+    for act in (mod.act_sigma, mod.act_tau):
+        total = power = fl.FpMatrix.identity(p, mod.dim)
+        for _ in range(p - 1):
+            power = power @ act
+            total = total + power
+        assert _norm(act) == total
 
 
 def test_trivial_module_complex_is_zero():

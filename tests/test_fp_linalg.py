@@ -171,3 +171,47 @@ def test_results_are_deterministic():
 def test_matrix_json_round_trip():
     s = load_tables().s_matrix()
     assert fl.FpMatrix.from_json(s.to_json()) == s
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_power_matches_sequential_products(p):
+    rng = random.Random(f"power/{p}")
+    m = random_matrix(rng, p, 5, 5)
+    ident = fl.FpMatrix.identity(p, 5)
+    assert m.power(0) == ident
+    for k in sorted({0, 1, 2, 5, p - 1, p}):
+        product = ident
+        for _ in range(k):
+            product = product @ m
+        assert m.power(k) == product
+
+
+def test_power_rejects_non_square_and_negative_exponents():
+    with pytest.raises(NotSquare):
+        fl.FpMatrix.zeros(3, 2, 3).power(2)
+    with pytest.raises(ValueError):
+        fl.FpMatrix.identity(3, 2).power(-1)
+
+
+def test_transpose_keeps_empty_shapes():
+    no_rows = fl.FpMatrix(5, 0, 4, ())
+    no_cols = fl.FpMatrix.from_rows(5, [[] for _ in range(4)])
+    assert (no_cols.rows, no_cols.cols) == (4, 0)
+    assert no_rows.transpose() == no_cols
+    assert no_cols.transpose() == no_rows
+
+
+@pytest.mark.parametrize("p", (2, 3, 7))
+def test_identity_and_scale_equal_their_from_rows_forms(p):
+    n = 4
+    ident = fl.FpMatrix.identity(p, n)
+    assert ident == fl.FpMatrix.from_rows(
+        p, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+    m = random_matrix(random.Random(f"scale/{p}"), p, 3, 5)
+    for c in (-2 * p - 1, -1, 0, 1, p, p + 2, 3 * p - 1):
+        assert m.scale(c) == fl.FpMatrix.from_rows(
+            p, [[c * x for x in row] for row in m.entries]
+        )
+    with pytest.raises(ValueError):
+        fl.FpMatrix.identity(4, 2)

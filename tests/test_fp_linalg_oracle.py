@@ -9,7 +9,9 @@ import random
 import pytest
 
 from fermat_homology import fp_linalg as fl
-from fermat_homology.cohomology import build_complex, lambda1_module
+from fermat_homology.cohomology import GModule, build_complex, lambda1_module
+from fermat_homology.group_ring import GroupRingElement, multiplication_matrix
+from fermat_homology.homology import action_matrix, h1U_basis
 
 sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 GF = pytest.importorskip("sympy").GF
@@ -114,12 +116,27 @@ def test_row_space_basis_accepts_negative_and_unreduced_entries(p):
     assert fl.row_space_basis(p, table) == oracle_rref_rows(p, reduced, 12)
 
 
+def natural_modules(p):
+    """H1(U) and Lambda_1 with e_0 and e_1 acting by multiplication."""
+    e0 = GroupRingElement.monomial(p, 1, (1, 0))
+    e1 = GroupRingElement.monomial(p, 1, (0, 1))
+    basis = h1U_basis(p)
+    yield GModule(p, len(basis), action_matrix(e0, basis), action_matrix(e1, basis))
+    yield GModule(p, p * p, multiplication_matrix(e0), multiplication_matrix(e1))
+
+
 def test_complex_differentials_match_sympy():
-    p = 3
-    for d in build_complex(lambda1_module()):
-        transpose = d.transpose()
-        acting = [list(row) for row in transpose.entries]
-        null = oracle_null_rows(p, acting, d.rows)
-        assert fl.kernel_basis(transpose) == oracle_rref_rows(p, null, d.rows)
-        rows = [list(row) for row in d.entries]
-        assert fl.image_basis(transpose) == oracle_rref_rows(p, rows, d.cols)
+    modules = [lambda1_module(), *natural_modules(5)]
+    complexes = [build_complex(mod) for mod in modules]
+    assert [z.rows for _, _, z in complexes] == [27, 48, 75]
+    for mod, differentials in zip(modules, complexes):
+        p = mod.p
+        for d in differentials:
+            transpose = d.transpose()
+            acting = [list(row) for row in transpose.entries]
+            null = oracle_null_rows(p, acting, d.rows)
+            assert fl.kernel_basis(transpose) == oracle_rref_rows(p, null, d.rows)
+            rows = [list(row) for row in d.entries]
+            image = oracle_rref_rows(p, rows, d.cols)
+            assert fl.image_basis(transpose) == image
+            assert fl.row_space_basis(p, d.entries) == image
