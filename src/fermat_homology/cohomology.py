@@ -11,16 +11,26 @@ blocks are S = 1 - sigma, T = 1 - tau and the norms U, V, arranged as
 
 with the row convention: a cochain is a row vector acted on from the
 right.  All computations are exact over Z/p.
+
+The norm of sigma is 1 + sigma + ... + sigma^(p-1) = (sigma - 1)^(p-1),
+because (x^p - 1)/(x - 1) = (x - 1)^(p-1) in F_p[x]; as p - 1 is even for
+odd p (and -1 = 1 for p = 2), that is U = S^(p-1).  For the same reason
+sigma^p - 1 = (sigma - 1)^p = -S^p, so sigma has order dividing p exactly
+when U S = 0.  ``GModule`` validation therefore computes the blocks
+S, T, U, V once, as sparse rows (see ``fp_linalg``), and uses them for its
+own checks; the complex is stacked from those blocks, and ``h_groups``
+keeps its rows sparse through every kernel, image and subquotient, so
+only the reported bases become dense.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import fp_linalg
 from .bsigma import bsigma_p3
 from .errors import InvalidAction
-from .fp_linalg import FpMatrix, SubquotientReport
+from .fp_linalg import FpMatrix, SparseRow, SubquotientReport
 from .group_ring import GroupRingElement, multiplication_matrix
 from .homology import RelativeClass, action_matrix, h1U_basis, h1X_subquotient, stab_basis
 from .scalars import Zmod
@@ -34,61 +44,69 @@ class GModule:
     dim: int
     act_sigma: FpMatrix
     act_tau: FpMatrix
+    # (S, T, U, V) as sparse rows, computed once during validation
+    _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        p = self.p
+        blocks = []
         for name, act in (("sigma", self.act_sigma), ("tau", self.act_tau)):
-            if act.p != self.p or act.rows != self.dim or act.cols != self.dim:
+            if act.p != p or act.rows != self.dim or act.cols != self.dim:
                 raise InvalidAction(f"{name} action has the wrong shape or modulus")
-            if fp_linalg.rank(act) != self.dim:
-                raise InvalidAction(f"{name} action is not invertible")
-            if act.power(self.p) != FpMatrix.identity(self.p, self.dim):
+            s = _one_minus(act)
+            norm = fp_linalg._power(p, s, p - 1)
+            if any(fp_linalg._matmul(p, norm, s)):
+                if fp_linalg.rank(act) != self.dim:
+                    raise InvalidAction(f"{name} action is not invertible")
                 raise InvalidAction(f"{name} action does not have order dividing p")
-        left = self.act_sigma @ self.act_tau
-        right = self.act_tau @ self.act_sigma
-        if left != right:
+            blocks.append((s, norm))
+        (s, u), (t, v) = blocks
+        if fp_linalg._matmul(p, s, t) != fp_linalg._matmul(p, t, s):
             raise InvalidAction("the two actions do not commute")
+        object.__setattr__(self, "_blocks", (s, t, u, v))
 
 
-def _norm(act: FpMatrix) -> FpMatrix:
-    """1 + a + ... + a^(p-1), computed as (1 - a)^(p-1).
+def _one_minus(act: FpMatrix) -> list[SparseRow]:
+    """1 - act as sparse rows."""
+    p = act.p
+    rows = []
+    for i, entries in enumerate(act.entries):
+        row = {j: p - x for j, x in enumerate(entries) if x}
+        diagonal = (1 - entries[i]) % p
+        if diagonal:
+            row[i] = diagonal
+        else:
+            del row[i]
+        rows.append(row)
+    return rows
 
-    The two agree for every square matrix a over F_p, because
-    (x^p - 1)/(x - 1) = (x - 1)^(p-1) in F_p[x] and p - 1 is even for odd
-    p (for p = 2, -1 = 1).
-    """
-    return (FpMatrix.identity(act.p, act.rows) - act).power(act.p - 1)
 
-
-def _assemble(p: int, layout, dim: int) -> FpMatrix:
-    """Stack a grid of dim x dim blocks (None meaning zero)."""
+def _stack(layout, dim: int) -> list[SparseRow]:
+    """Sparse rows of a grid of dim x dim blocks, None meaning zero."""
     rows = []
     for block_row in layout:
         for i in range(dim):
-            row: list[int] = []
-            for block in block_row:
-                if block is None:
-                    row.extend([0] * dim)
-                else:
-                    row.extend(block.entries[i])
-            rows.append(tuple(row))
-    return FpMatrix(p, len(rows), len(layout[0]) * dim, tuple(rows))
+            row: SparseRow = {}
+            for k, block in enumerate(block_row):
+                if block is not None:
+                    offset = k * dim
+                    for j, x in block[i].items():
+                        row[offset + j] = x
+            rows.append(row)
+    return rows
 
 
-def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
-    """The three cochain maps M -> M^2 -> M^3 -> M^4 as row-acting matrices."""
+def _cochain_maps(mod: GModule) -> tuple[list[SparseRow], list[SparseRow], list[SparseRow]]:
+    """X, Y and Z as sparse rows, stacked from the blocks of the module."""
     p, dim = mod.p, mod.dim
-    ident = FpMatrix.identity(p, dim)
-    s = ident - mod.act_sigma
-    t = ident - mod.act_tau
-    u = _norm(mod.act_sigma)
-    v = _norm(mod.act_tau)
-    x = _assemble(p, [[s, t]], dim)
-    y = _assemble(p, [[u, t, None], [None, s.scale(-1), v]], dim)
-    z = _assemble(
-        p,
+    s, t, u, v = mod._blocks
+    minus_s, minus_u = ([{j: p - x for j, x in row.items()} for row in b] for b in (s, u))
+    x = _stack([[s, t]], dim)
+    y = _stack([[u, t, None], [None, minus_s, v]], dim)
+    z = _stack(
         [
             [s, t, None, None],
-            [None, u.scale(-1), v, None],
+            [None, minus_u, v, None],
             [None, None, s, t],
         ],
         dim,
@@ -96,12 +114,14 @@ def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
     return x, y, z
 
 
-def _map_kernel(m: FpMatrix) -> list[tuple[int, ...]]:
-    return fp_linalg.kernel_basis(m.transpose())
-
-
-def _map_image(m: FpMatrix) -> list[tuple[int, ...]]:
-    return fp_linalg.row_space_basis(m.p, m.entries)
+def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
+    """The three cochain maps M -> M^2 -> M^3 -> M^4 as row-acting matrices."""
+    p, dim = mod.p, mod.dim
+    widths = (2 * dim, 3 * dim, 4 * dim)
+    return tuple(
+        FpMatrix(p, len(rows), n, fp_linalg._dense(rows, n))
+        for rows, n in zip(_cochain_maps(mod), widths)
+    )
 
 
 @dataclass(frozen=True)
@@ -119,19 +139,20 @@ class CohomologyGroups:
 
 def h_groups(mod: GModule) -> CohomologyGroups:
     """H^0, H^1, H^2 of the module as subquotient reports."""
-    x, y, z = build_complex(mod)
-    invariants = _map_kernel(x)
+    p, dim = mod.p, mod.dim
+    x, y, z = _cochain_maps(mod)
+    invariants = fp_linalg._dense(fp_linalg._left_kernel(p, x), dim)
     h0 = SubquotientReport(
-        ambient_dim=mod.dim,
-        kernel_basis=tuple(invariants),
+        ambient_dim=dim,
+        kernel_basis=invariants,
         image_basis=(),
-        coset_basis=tuple(invariants),
+        coset_basis=invariants,
     )
-    h1 = fp_linalg.subquotient(
-        _map_kernel(y), _map_image(x), p=mod.p, ambient_dim=2 * mod.dim
+    h1 = fp_linalg._subquotient(
+        p, 2 * dim, fp_linalg._left_kernel(p, y), fp_linalg._rref(p, x)[0]
     )
-    h2 = fp_linalg.subquotient(
-        _map_kernel(z), _map_image(y), p=mod.p, ambient_dim=3 * mod.dim
+    h2 = fp_linalg._subquotient(
+        p, 3 * dim, fp_linalg._left_kernel(p, z), fp_linalg._rref(p, y)[0]
     )
     return CohomologyGroups(h0, h1, h2)
 
@@ -139,7 +160,8 @@ def h_groups(mod: GModule) -> CohomologyGroups:
 def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:
     """Basis of {x : h*x = 0} inside the group ring, for prime n."""
     matrix = multiplication_matrix(h)
-    return _map_kernel(matrix)
+    rows = fp_linalg._sparse(matrix.p, matrix.entries)
+    return list(fp_linalg._dense(fp_linalg._left_kernel(matrix.p, rows), matrix.rows))
 
 
 def ideal_span(generators: list[GroupRingElement]) -> list[tuple[int, ...]]:
@@ -178,22 +200,19 @@ class BasisValidation:
 def validate_basis(vectors, mod: GModule, degree: int) -> BasisValidation:
     """Check listed vectors: each in the degree's kernel, jointly independent
     modulo the incoming image, and as many as the computed dimension."""
-    x, y, z = build_complex(mod)
-    if degree == 1:
-        outgoing, incoming = y, x
-    elif degree == 2:
-        outgoing, incoming = z, y
-    else:
+    if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    memberships = tuple(
-        not any(outgoing.apply_row(tuple(v))) for v in vectors
-    )
-    image = _map_image(incoming)
-    image_dim = len(image)
-    joint = fp_linalg.row_space_basis(mod.p, list(image) + [tuple(v) for v in vectors])
-    independent = len(joint) == image_dim + len(vectors)
-    kernel_dim = len(_map_kernel(outgoing))
-    expected = kernel_dim - image_dim
+    p = mod.p
+    maps = _cochain_maps(mod)
+    outgoing, incoming = maps[degree], maps[degree - 1]
+    if any(len(v) != len(outgoing) for v in vectors):
+        raise ValueError("vector length does not match row count")
+    listed = fp_linalg._sparse(p, vectors)
+    memberships = tuple(not row for row in fp_linalg._matmul(p, listed, outgoing))
+    image = fp_linalg._rref(p, incoming)[0]
+    joint = fp_linalg._rref(p, image + listed)[0]
+    independent = len(joint) == len(image) + len(listed)
+    expected = len(fp_linalg._left_kernel(p, outgoing)) - len(image)
     return BasisValidation(
         memberships=memberships,
         independent_mod_image=independent,

@@ -2,20 +2,29 @@
 
 Matrices are immutable row-major tables of residues.  Canonical bases are
 produced by reduced row echelon form with pivots ordered left to right, so
-every computation is deterministic across runs.  Elimination, products and
-reductions touch only the nonzero entries of a row, so the sparse matrices
-of the cohomology complexes stay cheap.  Elimination expects entries already
-reduced into [0, p).  ``solve_many`` answers a batch of right-hand sides
-with one elimination of the augmented matrix.  ``kernel_basis`` needs one
-elimination too: it scans the columns right to left, and the free-column
-vectors of that elimination are already the canonical (RREF) kernel basis,
-so they need no second reduction.  ``FpMatrix.power`` raises a square
-matrix to a power by repeated squaring.  Maps written as matrices
-follow the row convention used throughout the package: row k of a matrix
-holds the coordinates of the image of the k-th basis vector, and vectors
-act on the left (v -> v @ M).  The kernel/image helpers below are plain
-column-convention linear algebra ({v : Mv = 0}, column span); callers that
-work with row-acting maps pass the transpose.
+every computation is deterministic across runs.
+
+Underneath, a row is sparse: a ``{column: residue}`` dict that holds no
+zero, so the work follows the nonzeros rather than rows x columns (the
+differentials of the cohomology complexes are almost empty).  ``_rref`` is
+the one elimination: each incoming row is reduced against the pivot rows
+kept so far, which stay fully reduced, and the result is the unique RREF
+as sparse pivot rows in pivot order.  The public functions take and
+return dense tuples and convert at their boundary with one scan of their
+input; ``cohomology`` keeps its rows sparse from the action matrices to
+the bases it reports.
+
+``solve_many`` answers a batch of right-hand sides with one elimination of
+the augmented matrix.  Kernels need one elimination too: the columns are
+scanned right to left, and the free-column vectors of that elimination
+are already the canonical (RREF) kernel basis.  Matrix powers use
+repeated squaring.  Maps written as matrices follow the row convention
+used throughout the package: row k of a matrix holds the coordinates of
+the image of the k-th basis vector, and vectors act on the left
+(v -> v @ M).  The kernel/image helpers below are plain column-convention
+linear algebra ({v : Mv = 0}, column span); callers with row-acting maps
+pass the transpose, or their sparse rows to ``_left_kernel``, which
+gathers the columns from the nonzeros.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .errors import ContainmentViolation, NotSquare
 from .scalars import is_prime
 
 Vector = tuple[int, ...]
+SparseRow = dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -58,7 +68,9 @@ class FpMatrix:
 
     @classmethod
     def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        return cls.from_rows(p, [[0] * cols for _ in range(rows)])
+        if not is_prime(p):
+            raise ValueError(f"modulus must be prime, got {p}")
+        return cls(p, rows, cols, ((0,) * cols,) * rows)
 
     def transpose(self) -> "FpMatrix":
         entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
@@ -86,16 +98,8 @@ class FpMatrix:
             raise NotSquare(f"matrix power needs a square matrix, got {self.rows}x{self.cols}")
         if k < 0:
             raise ValueError(f"exponent must be non-negative, got {k}")
-        result = None
-        square = self
-        while True:
-            if k & 1:
-                result = square if result is None else result @ square
-            k >>= 1
-            if not k:
-                break
-            square = square @ square
-        return FpMatrix.identity(self.p, self.rows) if result is None else result
+        rows = _power(self.p, _sparse(self.p, self.entries), k)
+        return FpMatrix(self.p, self.rows, self.cols, _dense(rows, self.cols))
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.p, self.rows, self.cols) != (other.p, other.rows, other.cols):
@@ -143,67 +147,152 @@ class FpMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "FpMatrix":
         m = cls.from_rows(data["p"], data["entries"])
-        if (m.rows, m.cols) != (data["rows"], data["cols"]):
+        cols = data["cols"]
+        if not m.rows and isinstance(cols, int) and cols >= 0:
+            # an empty entry table cannot carry the column count itself
+            m = cls(m.p, 0, cols, ())
+        if (m.rows, m.cols) != (data["rows"], cols):
             raise ValueError("entry table does not match declared shape")
         return m
 
 
-def _rref(p: int, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns).
+def _sparse(p: int, vectors) -> list[SparseRow]:
+    """Sparse rows of dense vectors, each entry reduced into [0, p)."""
+    return [{j: y for j, x in enumerate(v) if (y := x % p)} for v in vectors]
 
-    Entries must already lie in [0, p).  Each elimination step updates only
-    the columns where the normalized pivot row is nonzero.
+
+def _dense(rows, n: int) -> tuple[Vector, ...]:
+    """Dense vectors of length n from sparse rows."""
+    out = []
+    for row in rows:
+        v = [0] * n
+        for j, x in row.items():
+            v[j] = x
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def _subtract(p: int, target: SparseRow, c: int, row: SparseRow) -> None:
+    """target -= c * row in place, for c in [1, p), dropping the zeros."""
+    for j, x in row.items():
+        y = (target.get(j, 0) - c * x) % p
+        if y:
+            target[j] = y
+        else:
+            del target[j]
+
+
+def _reduce(p: int, row: SparseRow, basis: dict[int, SparseRow]) -> SparseRow:
+    """A copy of ``row`` reduced against fully reduced pivot rows.
+
+    ``basis`` maps each pivot column to its row, which is 1 there and 0 at
+    every other pivot column.  Subtracting one pivot row therefore leaves
+    the row unchanged at the other pivot columns, and one pass over the
+    row's own pivot columns clears them all.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = -1
-        for i in range(r, nrows):
-            if rows[i][col]:
-                sel = i
-                break
-        if sel < 0:
+    out = dict(row)
+    for col in [col for col in row if col in basis]:
+        _subtract(p, out, out[col], basis[col])
+    return out
+
+
+def _rref(p: int, rows) -> tuple[list[SparseRow], list[int]]:
+    """Reduced row echelon form of sparse rows with entries in [1, p).
+
+    Returns the nonzero rows of the RREF in pivot order and their pivot
+    columns; the input rows are left unchanged.  Each incoming row is
+    reduced against the pivot rows kept so far; if anything survives it
+    is normalized at its leading column, which is then cleared from the
+    earlier pivot rows, so those stay fully reduced.
+    """
+    basis: dict[int, SparseRow] = {}
+    for row in rows:
+        row = _reduce(p, row, basis)
+        if not row:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        prow = rows[r]
-        inv = pow(prow[col], p - 2, p)
+        lead = min(row)
+        inv = pow(row[lead], p - 2, p)
         if inv != 1:
-            prow = rows[r] = [(x * inv) % p for x in prow]
-        support = [(j, x) for j, x in enumerate(prow) if x]
-        for i in range(nrows):
-            row = rows[i]
-            c = row[col]
-            if c and i != r:
-                for j, x in support:
-                    row[j] = (row[j] - c * x) % p
-        pivots.append(col)
-        r += 1
-        if r == nrows:
+            row = {j: x * inv % p for j, x in row.items()}
+        for other in basis.values():
+            c = other.get(lead)
+            if c:
+                _subtract(p, other, c, row)
+        basis[lead] = row
+    pivots = sorted(basis)
+    return [basis[col] for col in pivots], pivots
+
+
+def _matmul(p: int, a: list[SparseRow], b: list[SparseRow]) -> list[SparseRow]:
+    """The product of two matrices given as sparse rows."""
+    out = []
+    for row in a:
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: y for j, v in acc.items() if (y := v % p)})
+    return out
+
+
+def _power(p: int, rows: list[SparseRow], k: int) -> list[SparseRow]:
+    """M^k for a square M given as sparse rows and k >= 0, by repeated squaring."""
+    result = None
+    square = rows
+    while True:
+        if k & 1:
+            result = square if result is None else _matmul(p, result, square)
+        k >>= 1
+        if not k:
             break
-    return rows, pivots
+        square = _matmul(p, square, square)
+    return [{i: 1} for i in range(len(rows))] if result is None else result
+
+
+def _kernel(p: int, n: int, reversed_rows) -> list[SparseRow]:
+    """Canonical basis of {v in F_p^n : r . v = 0 for every row r}.
+
+    Each row comes with its columns reversed (entry j stored at n - 1 - j),
+    so the elimination chooses pivots from the right.  Each reduced row is
+    then nonzero only at its pivot and at free columns left of it, so the
+    vector of free column f, e_f - sum_i r_i[f] e_{pivot_i}, has its leading
+    1 at f and vanishes at every other free column.  Listed by increasing
+    f, these vectors are already the RREF basis of the kernel.
+    """
+    reduced, pivots = _rref(p, reversed_rows)
+    vectors = {f: {n - 1 - f: 1} for f in range(n - 1, -1, -1)}
+    for col in pivots:
+        del vectors[col]
+    for row, col in zip(reduced, pivots):
+        for f, x in row.items():
+            if f != col:
+                vectors[f][n - 1 - col] = p - x
+    return list(vectors.values())
+
+
+def _left_kernel(p: int, rows: list[SparseRow]) -> list[SparseRow]:
+    """Canonical basis of {v : v @ D = 0} for the map D given by its sparse
+    rows (the row convention); its columns are gathered from the nonzeros."""
+    n = len(rows)
+    columns: dict[int, SparseRow] = {}
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns.setdefault(j, {})[n - 1 - i] = x
+    return _kernel(p, n, columns.values())
 
 
 def row_space_basis(p: int, vectors) -> list[Vector]:
     """Canonical (RREF) basis of the span of the given row vectors."""
-    rows = [[x % p for x in v] for v in vectors]
-    if not rows:
+    vectors = list(vectors)
+    if not vectors:
         return []
-    reduced, pivots = _rref(p, rows)
-    return [tuple(reduced[i]) for i in range(len(pivots))]
+    return list(_dense(_rref(p, _sparse(p, vectors))[0], len(vectors[0])))
 
 
 def reduce_vector(p: int, v: Vector, basis: list[Vector], pivots: list[int]) -> Vector:
     """Reduce v against an RREF basis; zero iff v lies in the span."""
-    out = [x % p for x in v]
-    for row, col in zip(basis, pivots):
-        c = out[col]
-        if c:
-            for j, y in enumerate(row):
-                if y:
-                    out[j] = (out[j] - c * y) % p
-    return tuple(out)
+    rows = dict(zip(pivots, _sparse(p, basis)))
+    return _dense([_reduce(p, _sparse(p, [v])[0], rows)], len(v))[0]
 
 
 def pivot_columns(basis: list[Vector]) -> list[int]:
@@ -217,39 +306,25 @@ def pivot_columns(basis: list[Vector]) -> list[int]:
 
 
 def rank(m: FpMatrix) -> int:
-    return len(row_space_basis(m.p, m.entries))
+    return len(_rref(m.p, _sparse(m.p, m.entries))[1])
 
 
 def kernel_basis(m: FpMatrix) -> list[Vector]:
-    """Canonical basis of {v : M v = 0} (column convention).
-
-    One elimination of M with its columns reversed, so pivots are chosen
-    from the right.  Each reduced row is then nonzero only at its pivot and
-    at free columns left of it, so the vector of free column f,
-    e_f - sum_i r_i[f] e_{pivot_i}, has its leading 1 at f and vanishes at
-    every other free column.  Listed by increasing f, these vectors are
-    already the RREF basis of the kernel.
-    """
-    p, n = m.p, m.cols
-    reduced, pivots = _rref(p, [list(reversed(r)) for r in m.entries])
-    pivot_set = set(pivots)
-    vectors = []
-    for f in range(n - 1, -1, -1):
-        if f in pivot_set:
-            continue
-        v = [0] * n
-        v[n - 1 - f] = 1
-        for row, col in zip(reduced, pivots):
-            x = row[f]
-            if x:
-                v[n - 1 - col] = p - x
-        vectors.append(tuple(v))
-    return vectors
+    """Canonical basis of {v : M v = 0} (column convention), from one
+    elimination of M with its columns reversed (see ``_kernel``)."""
+    n = m.cols
+    rows = [{n - 1 - j: x for j, x in enumerate(row) if x} for row in m.entries]
+    return list(_dense(_kernel(m.p, n, rows), n))
 
 
 def image_basis(m: FpMatrix) -> list[Vector]:
     """Canonical basis of the column span of M."""
-    return row_space_basis(m.p, zip(*m.entries)) if m.rows else []
+    columns: list[SparseRow] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if x:
+                columns[j][i] = x
+    return list(_dense(_rref(m.p, columns)[0], m.rows))
 
 
 def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
@@ -257,27 +332,32 @@ def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
     system is inconsistent.
 
     One elimination of [M | b_1 ... b_k] serves every right-hand side.  Free
-    coordinates are set to zero, which makes the answers deterministic.
+    coordinates are set to zero, which makes the answers deterministic.  A
+    system is inconsistent when its column is nonzero in a reduced row that
+    vanishes on M.
     """
-    p = m.p
+    p, cols = m.p, m.cols
     bs = [[int(x) % p for x in b] for b in bs]
     if any(len(b) != m.rows for b in bs):
         raise ValueError("right-hand side length does not match row count")
-    if not m.rows:
-        return [() for _ in bs]
-    rows = [list(r) + [b[i] for b in bs] for i, r in enumerate(m.entries)]
+    rows = _sparse(p, m.entries)
+    for k, b in enumerate(bs, start=cols):
+        for i, x in enumerate(b):
+            if x:
+                rows[i][k] = x
     reduced, pivots = _rref(p, rows)
-    rank = sum(1 for col in pivots if col < m.cols)
-    out: list[Vector | None] = []
-    for col in range(m.cols, m.cols + len(bs)):
-        if any(reduced[i][col] for i in range(rank, m.rows)):
-            out.append(None)
+    solutions = [[0] * cols for _ in bs]
+    inconsistent: set[int] = set()
+    for row, col in zip(reduced, pivots):
+        if col >= cols:
+            inconsistent.update(row)
             continue
-        x = [0] * m.cols
-        for i in range(rank):
-            x[pivots[i]] = reduced[i][col]
-        out.append(tuple(x))
-    return out
+        for j, x in row.items():
+            if j >= cols:
+                solutions[j - cols][col] = x
+    return [
+        None if cols + k in inconsistent else tuple(x) for k, x in enumerate(solutions)
+    ]
 
 
 def solve(m: FpMatrix, b: Vector) -> Vector | None:
@@ -318,33 +398,43 @@ class SubquotientReport:
         }
 
 
-def subquotient(kernel_gens, image_gens, *, p: int, ambient_dim: int) -> SubquotientReport:
-    """Canonical bases for span(kernel_gens) / span(image_gens).
+def _subquotient(
+    p: int, ambient_dim: int, kernel: list[SparseRow], image: list[SparseRow]
+) -> SubquotientReport:
+    """Report for span(kernel) / span(image), both given as sparse RREF
+    bases, which are used as they are.
 
-    Raises ContainmentViolation unless span(image_gens) lies inside
-    span(kernel_gens); inputs violating that signal a broken complex.
+    Raises ContainmentViolation unless the image lies inside the kernel span.
     """
-    kernel = row_space_basis(p, kernel_gens)
-    image = row_space_basis(p, image_gens)
-    kpiv = pivot_columns(kernel)
-    for v in image:
-        if any(reduce_vector(p, v, kernel, kpiv)):
-            raise ContainmentViolation("image generators do not lie in the kernel span")
-    ipiv = pivot_columns(image)
-    residues = []
-    for v in kernel:
-        red = reduce_vector(p, v, image, ipiv)
-        if any(red):
-            residues.append(red)
-    coset = row_space_basis(p, residues)
+    kernel_rows = {min(row): row for row in kernel}
+    if any(_reduce(p, row, kernel_rows) for row in image):
+        raise ContainmentViolation("image generators do not lie in the kernel span")
+    image_rows = {min(row): row for row in image}
+    residues = [r for r in (_reduce(p, row, image_rows) for row in kernel) if r]
+    coset = _rref(p, residues)[0] if residues else []
     if len(coset) != len(kernel) - len(image):
         raise AssertionError("coset dimension mismatch")
     return SubquotientReport(
         ambient_dim=ambient_dim,
-        kernel_basis=tuple(kernel),
-        image_basis=tuple(image),
-        coset_basis=tuple(coset),
+        kernel_basis=_dense(kernel, ambient_dim),
+        image_basis=_dense(image, ambient_dim),
+        coset_basis=_dense(coset, ambient_dim),
     )
+
+
+def subquotient(kernel_gens, image_gens, *, p: int, ambient_dim: int) -> SubquotientReport:
+    """Canonical bases for span(kernel_gens) / span(image_gens), both sets
+    of vectors of length ``ambient_dim``.
+
+    Raises ContainmentViolation unless span(image_gens) lies inside
+    span(kernel_gens); inputs violating that signal a broken complex.
+    """
+    kernel_gens, image_gens = list(kernel_gens), list(image_gens)
+    if any(len(v) != ambient_dim for v in kernel_gens + image_gens):
+        raise ValueError("generator length does not match ambient_dim")
+    kernel = _rref(p, _sparse(p, kernel_gens))[0]
+    image = _rref(p, _sparse(p, image_gens))[0]
+    return _subquotient(p, ambient_dim, kernel, image)
 
 
 def exterior_square(m: FpMatrix) -> FpMatrix:

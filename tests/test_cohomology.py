@@ -7,8 +7,8 @@ import pytest
 from fermat_homology import fp_linalg as fl
 from fermat_homology.bsigma import bsigma_p3
 from fermat_homology.cohomology import (
+    CohomologyGroups,
     GModule,
-    _norm,
     annihilator,
     build_complex,
     h1u_module,
@@ -92,15 +92,79 @@ def test_gmodule_rejections_at_larger_primes(p, sigma, tau, message):
         GModule(p, 3, sigma, tau)
 
 
+def jordan_block(p, size):
+    """The unipotent Jordan block I + N of the given size."""
+    return fl.FpMatrix.from_rows(
+        p, [[1 if j in (i, i + 1) else 0 for j in range(size)] for i in range(size)]
+    )
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_order_check_at_its_boundary(p):
+    """(J - 1)^p = 0 for the Jordan block J of size p, so J has order p and
+    a nonzero norm (J - 1)^(p-1); at size p + 1, J has order p^2."""
+    block = jordan_block(p, p)
+    mod = GModule(p, p, block, fl.FpMatrix.identity(p, p))
+    _, y, _ = build_complex(mod)
+    assert any(any(row[:p]) for row in y.entries[:p])
+    big = jordan_block(p, p + 1)
+    ident = fl.FpMatrix.identity(p, p + 1)
+    with pytest.raises(InvalidAction, match="^sigma action does not have order dividing p$"):
+        GModule(p, p + 1, big, ident)
+    with pytest.raises(InvalidAction, match="^tau action does not have order dividing p$"):
+        GModule(p, p + 1, ident, big)
+    singular = fl.FpMatrix.from_rows(p, block.entries[:-1] + ((0,) * p,))
+    with pytest.raises(InvalidAction, match="^sigma action is not invertible$"):
+        GModule(p, p, singular, fl.FpMatrix.identity(p, p))
+
+
+def reference_h_groups(mod):
+    """The cohomology as a composition of the public dense functions on
+    the matrices of `build_complex`."""
+    p, dim = mod.p, mod.dim
+    x, y, z = build_complex(mod)
+    invariants = tuple(fl.kernel_basis(x.transpose()))
+    h0 = fl.SubquotientReport(dim, invariants, (), invariants)
+    h1 = fl.subquotient(
+        fl.kernel_basis(y.transpose()), fl.row_space_basis(p, x.entries), p=p, ambient_dim=2 * dim
+    )
+    h2 = fl.subquotient(
+        fl.kernel_basis(z.transpose()), fl.row_space_basis(p, y.entries), p=p, ambient_dim=3 * dim
+    )
+    return CohomologyGroups(h0, h1, h2)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_h_groups_matches_the_public_functions_on_random_modules(p):
+    rng = random.Random(f"reference/{p}")
+    for dim in range(1, 13):
+        mod = random_commuting_module(rng, p=p, dim=dim)
+        assert h_groups(mod) == reference_h_groups(mod)
+
+
+def test_h_groups_matches_the_public_functions_on_the_paper_modules():
+    for build in (lambda1_module, h1u_module, h1x_module, wedge_module):
+        mod = build()
+        assert h_groups(mod) == reference_h_groups(mod)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_norm_equals_the_sum_of_powers(p):
+    """The norm blocks U (top left of Y) and V (bottom right) are the sums
+    1 + a + ... + a^(p-1) of the two actions."""
     mod = random_commuting_module(random.Random(f"norm/{p}"), p=p)
-    for act in (mod.act_sigma, mod.act_tau):
-        total = power = fl.FpMatrix.identity(p, mod.dim)
+    dim = mod.dim
+    _, y, _ = build_complex(mod)
+    blocks = (
+        [row[:dim] for row in y.entries[:dim]],
+        [row[2 * dim :] for row in y.entries[dim:]],
+    )
+    for act, block in zip((mod.act_sigma, mod.act_tau), blocks):
+        total = power = fl.FpMatrix.identity(p, dim)
         for _ in range(p - 1):
             power = power @ act
             total = total + power
-        assert _norm(act) == total
+        assert fl.FpMatrix(p, dim, dim, tuple(block)) == total
 
 
 def test_trivial_module_complex_is_zero():

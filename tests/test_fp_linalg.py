@@ -85,6 +85,13 @@ def test_subquotient_rejects_non_contained_image():
         fl.subquotient([(1, 0)], [(0, 1)], p=3, ambient_dim=2)
 
 
+def test_subquotient_rejects_generators_of_the_wrong_length():
+    with pytest.raises(ValueError, match="ambient_dim"):
+        fl.subquotient([(1, 0, 0)], [], p=3, ambient_dim=2)
+    with pytest.raises(ValueError, match="ambient_dim"):
+        fl.subquotient([(1, 0)], [(1,)], p=3, ambient_dim=2)
+
+
 def test_subquotient_coset_vectors_independent_modulo_image():
     rng = random.Random(41)
     for _ in range(20):
@@ -215,3 +222,22 @@ def test_identity_and_scale_equal_their_from_rows_forms(p):
         )
     with pytest.raises(ValueError):
         fl.FpMatrix.identity(4, 2)
+
+
+def test_zero_row_matrices_keep_their_column_count():
+    empty = fl.FpMatrix.zeros(3, 0, 4)
+    assert (empty.rows, empty.cols, empty.entries) == (0, 4, ())
+    assert fl.FpMatrix.zeros(3, 2, 3) == fl.FpMatrix.from_rows(3, [[0] * 3] * 2)
+    with pytest.raises(ValueError):
+        fl.FpMatrix.zeros(4, 1, 1)
+    no_cols = fl.FpMatrix.from_rows(5, [[] for _ in range(4)])
+    for m in (empty, no_cols, no_cols.transpose()):
+        assert fl.FpMatrix.from_json(m.to_json()) == m
+    with pytest.raises(ValueError):
+        fl.FpMatrix.from_json({"p": 3, "rows": 0, "cols": -1, "entries": []})
+
+
+def test_solve_many_on_a_matrix_without_rows():
+    m = fl.FpMatrix.zeros(5, 0, 3)
+    assert fl.solve_many(m, [(), ()]) == [(0, 0, 0), (0, 0, 0)]
+    assert fl.solve(m, ()) == (0, 0, 0)
