@@ -80,17 +80,8 @@ class FpMatrix:
         if self.p != other.p or self.cols != other.rows:
             raise ValueError("incompatible shapes for matrix product")
         p = self.p
-        cols = other.cols
-        supports = [[(j, x) for j, x in enumerate(row) if x] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc = [0] * cols
-            for a, support in zip(row, supports):
-                if a:
-                    for j, x in support:
-                        acc[j] += a * x
-            out.append(tuple([x % p for x in acc]))
-        return FpMatrix(p, self.rows, cols, tuple(out))
+        rows = _matmul(p, _sparse(p, self.entries), _sparse(p, other.entries))
+        return FpMatrix(p, self.rows, other.cols, _dense(rows, other.cols))
 
     def power(self, k: int) -> "FpMatrix":
         """M^k for a square M and k >= 0, by repeated squaring."""
@@ -98,8 +89,16 @@ class FpMatrix:
             raise NotSquare(f"matrix power needs a square matrix, got {self.rows}x{self.cols}")
         if k < 0:
             raise ValueError(f"exponent must be non-negative, got {k}")
-        rows = _power(self.p, _sparse(self.p, self.entries), k)
-        return FpMatrix(self.p, self.rows, self.cols, _dense(rows, self.cols))
+        result = None
+        square = self
+        while True:
+            if k & 1:
+                result = square if result is None else result @ square
+            k >>= 1
+            if not k:
+                break
+            square = square @ square
+        return FpMatrix.identity(self.p, self.rows) if result is None else result
 
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.p, self.rows, self.cols) != (other.p, other.rows, other.cols):
@@ -319,12 +318,7 @@ def kernel_basis(m: FpMatrix) -> list[Vector]:
 
 def image_basis(m: FpMatrix) -> list[Vector]:
     """Canonical basis of the column span of M."""
-    columns: list[SparseRow] = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x:
-                columns[j][i] = x
-    return list(_dense(_rref(m.p, columns)[0], m.rows))
+    return row_space_basis(m.p, zip(*m.entries)) if m.rows else []
 
 
 def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
