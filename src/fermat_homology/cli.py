@@ -241,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cyc = sub.add_parser("cyclotomic", help="multiplicative identity report")
     p_cyc.add_argument("--p", type=int, default=3)
-    p_cyc.add_argument("--verify", action="store_true")
     p_cyc.add_argument("--json", action="store_true")
     p_cyc.set_defaults(func=_run_cyclotomic)
 

@@ -98,10 +98,6 @@ class CyclotomicInt:
         return {"p": self.p, "coeffs": list(self.coeffs)}
 
 
-def multiply(a: CyclotomicInt, b: CyclotomicInt) -> CyclotomicInt:
-    return a * b
-
-
 def conjugate(a: CyclotomicInt, i: int) -> CyclotomicInt:
     """The automorphism zeta -> zeta^i applied to a; i must be prime to p."""
     p = a.p

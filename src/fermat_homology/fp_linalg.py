@@ -83,23 +83,6 @@ class FpMatrix:
         rows = _matmul(p, _sparse(p, self.entries), _sparse(p, other.entries))
         return FpMatrix(p, self.rows, other.cols, _dense(rows, other.cols))
 
-    def power(self, k: int) -> "FpMatrix":
-        """M^k for a square M and k >= 0, by repeated squaring."""
-        if self.rows != self.cols:
-            raise NotSquare(f"matrix power needs a square matrix, got {self.rows}x{self.cols}")
-        if k < 0:
-            raise ValueError(f"exponent must be non-negative, got {k}")
-        result = None
-        square = self
-        while True:
-            if k & 1:
-                result = square if result is None else result @ square
-            k >>= 1
-            if not k:
-                break
-            square = square @ square
-        return FpMatrix.identity(self.p, self.rows) if result is None else result
-
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.p, self.rows, self.cols) != (other.p, other.rows, other.cols):
             raise ValueError("incompatible shapes for matrix sum")

@@ -7,6 +7,14 @@ Z/n by default; a prime-power extension field can be supplied instead,
 which is how the gamma-element computations work at finite precision
 inside an algebraic closure of Z/p.
 
+A monomial permutes the monomial basis, so multiplying by e^s rotates the
+table: along each axis k, every block of n runs of length n^(m-k) turns by
+s_k runs.  A product is the sum of such rotations of one factor, scaled by
+the coefficients of the other, and the matrix of x -> a*x has the
+rotations of a as its rows.  Over a field of characteristic n = p the
+Frobenius map gives u^p = eps(u)^p for the augmentation eps, so u is a unit
+exactly when eps(u) != 0, with inverse eps(u)^(-p) u^(p-1).
+
 Beyond ring arithmetic this module provides the coboundary-style maps
 d_prime : Lambda_0^x -> (Lambda_1^x)^w and d_prime_prime into Lambda_2^x,
 the swap involution w, the augmentation, and the logarithmic derivative
@@ -16,29 +24,11 @@ dlog into the free module of differentials on the generators dlog e_i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import ArityMismatch, NotAUnit, NotSymmetric
 from .fp_linalg import FpMatrix
 from .scalars import Zmod
-
-_MUL_TABLES: dict[tuple[int, int], list[list[int]]] = {}
-_EXP_TUPLES: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-
-
-def _exponent_tuples(n: int, arity: int) -> list[tuple[int, ...]]:
-    key = (n, arity)
-    cached = _EXP_TUPLES.get(key)
-    if cached is None:
-        cached = []
-        for idx in range(n**arity):
-            exps = []
-            v = idx
-            for _ in range(arity):
-                exps.append(v % n)
-                v //= n
-            cached.append(tuple(reversed(exps)))
-        _EXP_TUPLES[key] = cached
-    return cached
 
 
 def _pack(n: int, exps: tuple[int, ...]) -> int:
@@ -48,20 +38,20 @@ def _pack(n: int, exps: tuple[int, ...]) -> int:
     return idx
 
 
-def _mul_table(n: int, arity: int) -> list[list[int]]:
-    key = (n, arity)
-    cached = _MUL_TABLES.get(key)
-    if cached is None:
-        tuples = _exponent_tuples(n, arity)
-        cached = [
-            [
-                _pack(n, tuple(x + y for x, y in zip(ea, eb)))
-                for eb in tuples
-            ]
-            for ea in tuples
-        ]
-        _MUL_TABLES[key] = cached
-    return cached
+def _shift(coeffs, n: int, exps) -> tuple:
+    """The table of e^exps * a, given the table of a: one rotation per axis."""
+    size = block = len(coeffs)
+    for s in exps:
+        run = block // n
+        cut = block - (s % n) * run
+        if cut < block:
+            out = []
+            for start in range(0, size, block):
+                out += coeffs[start + cut : start + block]
+                out += coeffs[start : start + cut]
+            coeffs = out
+        block = run
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -128,10 +118,9 @@ class GroupRingElement:
         return [list(self.coeffs[i * n : (i + 1) * n]) for i in range(n)]
 
     def support(self):
-        tuples = _exponent_tuples(self.n, self.m + 1)
         return [
             (exps, c)
-            for exps, c in zip(tuples, self.coeffs)
+            for exps, c in zip(product(range(self.n), repeat=self.m + 1), self.coeffs)
             if not self.ring.is_zero(c)
         ]
 
@@ -175,29 +164,12 @@ class GroupRingElement:
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check_compatible(other)
-        table = _mul_table(self.n, self.m + 1)
-        ring = self.ring
-        if isinstance(ring, Zmod):
-            out = [0] * len(self.coeffs)
-            for ia, ca in enumerate(self.coeffs):
-                if ca:
-                    row = table[ia]
-                    for ib, cb in enumerate(other.coeffs):
-                        if cb:
-                            out[row[ib]] += ca * cb
-            nmod = ring.n
-            return GroupRingElement(
-                self.n, self.m, ring, tuple(x % nmod for x in out)
-            )
-        out = [ring.zero] * len(self.coeffs)
-        for ia, ca in enumerate(self.coeffs):
-            if not ring.is_zero(ca):
-                row = table[ia]
-                for ib, cb in enumerate(other.coeffs):
-                    if not ring.is_zero(cb):
-                        idx = row[ib]
-                        out[idx] = ring.add(out[idx], ring.mul(ca, cb))
-        return GroupRingElement(self.n, self.m, ring, tuple(out))
+        n, ring = self.n, self.ring
+        add, mul = ring.add, ring.mul
+        out = [ring.zero] * len(other.coeffs)
+        for exps, c in self.support():
+            out = [add(x, mul(c, y)) for x, y in zip(out, _shift(other.coeffs, n, exps))]
+        return GroupRingElement(n, self.m, ring, tuple(out))
 
     def scale(self, c) -> "GroupRingElement":
         ring = self.ring
@@ -214,8 +186,9 @@ class GroupRingElement:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     # -- structural maps ----------------------------------------------
@@ -228,7 +201,7 @@ class GroupRingElement:
         n = self.n
         ring = self.ring
         out = [ring.zero] * (n ** (new_m + 1))
-        for exps, c in zip(_exponent_tuples(n, self.m + 1), self.coeffs):
+        for exps, c in zip(product(range(n), repeat=self.m + 1), self.coeffs):
             if ring.is_zero(c):
                 continue
             new_exps = [0] * (new_m + 1)
@@ -244,7 +217,7 @@ class GroupRingElement:
         ring = self.ring
         out = [
             ring.scale_int(exps[k], c)
-            for exps, c in zip(_exponent_tuples(self.n, self.m + 1), self.coeffs)
+            for exps, c in zip(product(range(self.n), repeat=self.m + 1), self.coeffs)
         ]
         return GroupRingElement(self.n, self.m, ring, tuple(out))
 
@@ -313,10 +286,6 @@ class DifferentialElement:
 # -- public operations ------------------------------------------------
 
 
-def multiply(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
 def augmentation(a: GroupRingElement):
     """Sum of all coefficients; a ring homomorphism onto the base ring."""
     total = a.ring.zero
@@ -337,38 +306,32 @@ def swap_w(a: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(n, 1, a.ring, tuple(out))
 
 
-def _unit_group_exponent(ring, n: int, arity: int) -> int | None:
-    """An exponent E with u**E = 1 for every unit, when one is known.
-
-    For coefficients in a field of characteristic p with n = p the ring is
-    local with nilpotent maximal ideal of index arity*(p-1)+1, so every
-    unit satisfies u**((q-1) * p^s) = 1 once p^s clears the nilpotency.
-    """
-    if getattr(ring, "is_field", False) and ring.char == n:
-        p = ring.char
-        nilpotency = arity * (p - 1) + 1
-        ps = 1
-        while ps < nilpotency:
-            ps *= p
-        return (ring.size - 1) * ps
-    return None
+def _scalar_power(ring, c, k: int):
+    result = ring.one
+    while k:
+        if k & 1:
+            result = ring.mul(result, c)
+        c = ring.mul(c, c)
+        k >>= 1
+    return result
 
 
 def invert(u: GroupRingElement) -> GroupRingElement:
     """Multiplicative inverse; raises NotAUnit when none exists.
 
-    Units have finite multiplicative order, so the inverse is a power of u:
-    either u**(E-1) for a known exponent E of the unit group, or the power
-    preceding the first return to 1 (with cycle detection rejecting
-    non-units) when no exponent formula applies.
+    Over a field of q elements and characteristic n, u^n = eps(u)^n: u is a
+    unit exactly when eps(u) != 0, and then u^(-1) = eps(u)^(-n) u^(n-1),
+    with eps(u)^(-1) = eps(u)^(q-2).  Over any other coefficient ring units
+    still have finite order, so the inverse is the power preceding the first
+    return to 1, and cycle detection rejects non-units.
     """
-    one = GroupRingElement.one(u.n, u.m, u.ring)
-    exponent = _unit_group_exponent(u.ring, u.n, u.m + 1)
-    if exponent is not None:
-        candidate = u ** (exponent - 1)
-        if u * candidate == one:
-            return candidate
-        raise NotAUnit("element is not invertible")
+    ring, n = u.ring, u.n
+    if getattr(ring, "is_field", False) and ring.char == n:
+        eps = augmentation(u)
+        if ring.is_zero(eps):
+            raise NotAUnit("element is not invertible")
+        return (u ** (n - 1)).scale(_scalar_power(ring, eps, n * (ring.size - 2)))
+    one = GroupRingElement.one(n, u.m, ring)
     seen = set()
     prev, cur = one, u
     while True:
@@ -418,13 +381,5 @@ def multiplication_matrix(a: GroupRingElement) -> FpMatrix:
     """
     if not isinstance(a.ring, Zmod) or not a.ring.is_field:
         raise ValueError("multiplication matrices require prime-field coefficients")
-    n, m = a.n, a.m
-    dim = n ** (m + 1)
-    table = _mul_table(n, m + 1)
-    rows = [[0] * dim for _ in range(dim)]
-    for k in range(dim):
-        row = rows[k]
-        for ia, ca in enumerate(a.coeffs):
-            if ca:
-                row[table[k][ia]] = (row[table[k][ia]] + ca) % n
-    return FpMatrix.from_rows(n, rows)
+    rows = [_shift(a.coeffs, a.n, exps) for exps in product(range(a.n), repeat=a.m + 1)]
+    return FpMatrix.from_rows(a.n, rows)

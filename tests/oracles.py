@@ -3,9 +3,10 @@
 Nothing here calls the elimination routines of the package for the
 quantity it checks: ranks come from brute-force span enumeration, the
 cohomology cross-check comes from the standard inhomogeneous cochain
-complex of the group, built from scratch, and degree-1 coboundaries come
+complex of the group, built from scratch, degree-1 coboundaries come
 from products in the group ring or with S1, read straight from the raw
-reference tables.
+reference tables, and group-ring products come from the double sum over
+pairs of group elements.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import re
 
 from fermat_homology import fp_linalg
+from fermat_homology.scalars import Zmod
 
 
 def span_size(p: int, vectors) -> int:
@@ -76,6 +78,17 @@ def bar_cohomology_trivial(p: int) -> tuple[int, int]:
     return h1, h2
 
 
+def convolution(n: int, ring, x: dict, y: dict) -> dict:
+    """x * y in ring[(Z/n)^k] as the double sum over pairs of group
+    elements; elements are {exponent tuple: coefficient} dicts."""
+    out: dict = {}
+    for a, c in x.items():
+        for b, d in y.items():
+            key = tuple((s + t) % n for s, t in zip(a, b))
+            out[key] = ring.add(out.get(key, ring.zero), ring.mul(c, d))
+    return out
+
+
 def float_norm(p: int, coeffs) -> complex:
     """Product of the complex embeddings; floating-point norm oracle."""
     product = 1.0 + 0j
@@ -103,15 +116,6 @@ def _ring_element(expr: str, p: int) -> dict:
     return element
 
 
-def _ring_mul(x: dict, y: dict, p: int) -> dict:
-    out: dict = {}
-    for (i, j), c in x.items():
-        for (k, l), d in y.items():
-            key = ((i + k) % p, (j + l) % p)
-            out[key] = (out.get(key, 0) + c * d) % p
-    return out
-
-
 def _lambda1_actions(raw):
     """sigma and tau on Lambda_1: multiplication by the listed B strings,
     on coordinates in the listed basis order."""
@@ -120,7 +124,7 @@ def _lambda1_actions(raw):
 
     def by(multiplier):
         def act(v):
-            product = _ring_mul(dict(zip(order, v)), multiplier, p)
+            product = convolution(p, Zmod(p), dict(zip(order, v)), multiplier)
             return [product.get(m, 0) for m in order]
 
         return act

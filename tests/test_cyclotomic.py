@@ -5,7 +5,6 @@ import pytest
 from fermat_homology.cyclotomic import (
     CyclotomicInt,
     conjugate,
-    multiply,
     norm,
     verify_cyclotomic_identities,
 )
@@ -93,4 +92,4 @@ def test_report_respects_bound():
 
 def test_modulus_mismatch():
     with pytest.raises(ModulusMismatch):
-        multiply(CyclotomicInt.one(3), CyclotomicInt.one(5))
+        CyclotomicInt.one(3) * CyclotomicInt.one(5)

@@ -180,26 +180,6 @@ def test_matrix_json_round_trip():
     assert fl.FpMatrix.from_json(s.to_json()) == s
 
 
-@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
-def test_power_matches_sequential_products(p):
-    rng = random.Random(f"power/{p}")
-    m = random_matrix(rng, p, 5, 5)
-    ident = fl.FpMatrix.identity(p, 5)
-    assert m.power(0) == ident
-    for k in sorted({0, 1, 2, 5, p - 1, p}):
-        product = ident
-        for _ in range(k):
-            product = product @ m
-        assert m.power(k) == product
-
-
-def test_power_rejects_non_square_and_negative_exponents():
-    with pytest.raises(NotSquare):
-        fl.FpMatrix.zeros(3, 2, 3).power(2)
-    with pytest.raises(ValueError):
-        fl.FpMatrix.identity(3, 2).power(-1)
-
-
 def test_transpose_keeps_empty_shapes():
     no_rows = fl.FpMatrix(5, 0, 4, ())
     no_cols = fl.FpMatrix.from_rows(5, [[] for _ in range(4)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,8 @@ from fermat_homology.group_ring import (
     multiplication_matrix,
     swap_w,
 )
-from fermat_homology.scalars import GF27
+from fermat_homology.scalars import GF27, Zmod
+from oracles import convolution
 
 
 def eps(n, m, k):
@@ -157,9 +159,9 @@ def test_d_second_requires_symmetry():
 
 def test_cocycle_identity_on_random_units():
     rng = random.Random(12345)
-    for n in (3, 5):
+    for n, count in ((3, 50), (5, 50), (7, 8)):
         one2 = GroupRingElement.one(n, 2)
-        for _ in range(50):
+        for _ in range(count):
             g = random_unit(rng, n)
             image = d_prime(g)
             assert swap_w(image) == image
@@ -221,3 +223,131 @@ def test_multiplication_matrix_row_action():
 def test_json_round_trip():
     b = bsigma_p3(1, 2)
     assert GroupRingElement.from_json(b.to_json()) == b
+
+
+def oracle_product(n, arity, ring, a, b):
+    """Product of two coefficient tables (e_0 varying slowest) by the oracle."""
+    exps = list(itertools.product(range(n), repeat=arity))
+    out = convolution(n, ring, dict(zip(exps, a)), dict(zip(exps, b)))
+    return tuple(out.get(e, ring.zero) for e in exps)
+
+
+def random_table(rng, ring, size):
+    if ring == GF27:
+        return tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(size))
+    return tuple(rng.randrange(ring.n) for _ in range(size))
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
+@pytest.mark.parametrize("arity", (1, 2, 3))
+def test_product_matches_the_convolution_oracle_over_zmod(n, arity):
+    rng = random.Random(f"zmod/{n}/{arity}")
+    ring = Zmod(n)
+    for _ in range(3 if arity < 3 else 1):
+        a, b = (random_table(rng, ring, n**arity) for _ in range(2))
+        x = GroupRingElement(n, arity - 1, ring, a)
+        y = GroupRingElement(n, arity - 1, ring, b)
+        assert (x * y).coeffs == oracle_product(n, arity, ring, a, b)
+
+
+@pytest.mark.parametrize("arity", (1, 2))
+def test_product_matches_the_convolution_oracle_over_f27(arity):
+    rng = random.Random(f"f27/{arity}")
+    for _ in range(5):
+        a, b = (random_table(rng, GF27, 3**arity) for _ in range(2))
+        x = GroupRingElement(3, arity - 1, GF27, a)
+        y = GroupRingElement(3, arity - 1, GF27, b)
+        assert (x * y).coeffs == oracle_product(3, arity, GF27, a, b)
+
+
+def test_powers_match_repeated_oracle_products():
+    rng = random.Random(8)
+    ring = Zmod(5)
+    u = GroupRingElement(5, 1, ring, random_table(rng, ring, 25))
+    expected = GroupRingElement.one(5, 1).coeffs
+    for k in range(9):
+        assert (u**k).coeffs == expected
+        expected = oracle_product(5, 2, ring, expected, u.coeffs)
+
+
+@pytest.mark.parametrize("n,arity", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3)])
+def test_multiplication_matrix_rows_are_monomial_products(n, arity):
+    rng = random.Random(f"rows/{n}/{arity}")
+    ring = Zmod(n)
+    a = GroupRingElement(n, arity - 1, ring, random_table(rng, ring, n**arity))
+    matrix = multiplication_matrix(a)
+    for k in range(n**arity):
+        e_k = [0] * n**arity
+        e_k[k] = 1
+        monomial = GroupRingElement(n, arity - 1, ring, tuple(e_k))
+        assert matrix.entries[k] == (monomial * a).coeffs
+        assert matrix.entries[k] == oracle_product(n, arity, ring, e_k, a.coeffs)
+
+
+def test_invert_rejects_exactly_the_augmentation_ideal():
+    # exhaustive over the 27 elements of Z/3[e]/(e^3 - 1)
+    ring = Zmod(3)
+    one = GroupRingElement.one(3, 0).coeffs
+    for table in itertools.product(range(3), repeat=3):
+        u = GroupRingElement(3, 0, ring, table)
+        if sum(table) % 3 == 0:
+            with pytest.raises(NotAUnit):
+                invert(u)
+        else:
+            assert oracle_product(3, 1, ring, table, invert(u).coeffs) == one
+
+
+@pytest.mark.parametrize("n", (5, 7))
+def test_invert_on_random_elements_of_prime_exponent(n):
+    rng = random.Random(f"invert/{n}")
+    ring = Zmod(n)
+    one = GroupRingElement.one(n, 1).coeffs
+    for _ in range(10):
+        table = list(random_table(rng, ring, n * n))
+        if rng.random() < 0.3:
+            table[0] = (table[0] - sum(table)) % n
+        u = GroupRingElement(n, 1, ring, tuple(table))
+        if sum(table) % n == 0:
+            with pytest.raises(NotAUnit):
+                invert(u)
+        else:
+            assert oracle_product(n, 2, ring, table, invert(u).coeffs) == one
+
+
+@pytest.mark.parametrize("arity", (1, 2, 3))
+def test_unit_times_inverse_is_one_over_f27(arity):
+    rng = random.Random(f"f27-invert/{arity}")
+    one = GroupRingElement.one(3, arity - 1, GF27)
+    for trial in range(5 if arity < 3 else 2):
+        table = list(random_table(rng, GF27, 3**arity))
+        rest = GF27.zero
+        for c in table[1:]:
+            rest = GF27.add(rest, c)
+        if trial == 0:
+            # augmentation zero: not a unit
+            table[0] = GF27.neg(rest)
+            with pytest.raises(NotAUnit):
+                invert(GroupRingElement(3, arity - 1, GF27, tuple(table)))
+            continue
+        if GF27.is_zero(GF27.add(table[0], rest)):
+            table[0] = GF27.add(table[0], GF27.one)
+        u = GroupRingElement(3, arity - 1, GF27, tuple(table))
+        inverse = invert(u)
+        assert u * inverse == one
+        assert oracle_product(3, arity, GF27, table, inverse.coeffs) == one.coeffs
+
+
+def test_cycle_detection_inverts_over_composite_moduli():
+    rng = random.Random(4)
+    for n in (4, 6, 9):
+        ring = Zmod(n)
+        one = GroupRingElement.one(n, 1).coeffs
+        found = 0
+        while found < 3:
+            table = random_table(rng, ring, n * n)
+            try:
+                inverse = invert(GroupRingElement(n, 1, ring, table))
+            except NotAUnit:
+                continue
+            found += 1
+            assert oracle_product(n, 2, ring, table, inverse.coeffs) == one
