@@ -15,20 +15,17 @@ import json
 import sys
 
 from . import cohomology as cohomology_mod
-from . import fp_linalg
-from .bsigma import (
-    b_map_analysis,
-    bsigma,
-    bsigma_p3,
-    gamma_oracle_p3,
-    prime_field_image,
-    verify_bsigma,
-)
+from .bsigma import b_map_analysis, bsigma, bsigma_p3, verify_bsigma
 from .cyclotomic import verify_cyclotomic_identities
 from .galois_kummer import KummerCoordinates, coordinate_sum, psi_from_kummer
-from .group_ring import GroupRingElement, d_prime
+from .group_ring import GroupRingElement
 from .homology import RelativeClass, h1U_basis, h1X_subquotient, stab_basis
-from .reproduction import format_results, run_reproduction
+from .reproduction import (
+    format_results,
+    gamma_oracle_checks,
+    run_listed_bases,
+    run_reproduction,
+)
 from .scalars import Zmod
 
 
@@ -41,6 +38,20 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _emit_scorecard(results, as_json: bool) -> int:
+    """Print scorecard rows as text or JSON; exit code 1 if any row fails."""
+    if as_json:
+        _emit_json(
+            [
+                {"name": r.name, "passed": r.passed, "detail": r.detail, "flag": r.flag}
+                for r in results
+            ]
+        )
+    else:
+        print(format_results(results))
+    return 0 if all(r.passed for r in results) else 1
+
+
 def _run_bsigma(args) -> int:
     if args.verify_all:
         results = []
@@ -48,12 +59,8 @@ def _run_bsigma(args) -> int:
             for c1 in range(3):
                 report = verify_bsigma(bsigma_p3(c0, c1))
                 results.append(((c0, c1), report))
-        oracle_ok = all(
-            prime_field_image(d_prime(gamma)) == bsigma_p3((c2 - c1) % 3, c1)
-            for c1 in range(3)
-            for c2 in range(3)
-            for _, gamma in gamma_oracle_p3(c1, c2)
-        )
+        closed_form, _, _ = gamma_oracle_checks()
+        oracle_ok = closed_form.passed
         linear = b_map_analysis()
         if args.json:
             _emit_json(
@@ -147,21 +154,7 @@ _MODULE_BUILDERS = {
 
 def _run_cohomology(args) -> int:
     if args.validate_paper:
-        results = [
-            r
-            for r in run_reproduction()
-            if r.name.startswith("listed")
-        ]
-        if args.json:
-            _emit_json(
-                [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail, "flag": r.flag}
-                    for r in results
-                ]
-            )
-        else:
-            print(format_results(results))
-        return 0 if all(r.passed for r in results) else 1
+        return _emit_scorecard(run_listed_bases(), args.json)
     builder = _MODULE_BUILDERS[args.module]
     groups = cohomology_mod.h_groups(builder())
     if args.json:
@@ -189,17 +182,7 @@ def _run_cyclotomic(args) -> int:
 
 
 def _run_reproduce(args) -> int:
-    results = run_reproduction()
-    if args.json:
-        _emit_json(
-            [
-                {"name": r.name, "passed": r.passed, "detail": r.detail, "flag": r.flag}
-                for r in results
-            ]
-        )
-    else:
-        print(format_results(results))
-    return 0 if all(r.passed for r in results) else 1
+    return _emit_scorecard(run_reproduction(), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:

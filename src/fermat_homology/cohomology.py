@@ -1,16 +1,19 @@
 """Group cohomology of (Z/p)^2 with coefficients in a finite module.
 
 A module is described by the two commuting action matrices of the chosen
-generators.  The periodic resolution of each cyclic factor tensors into a
-double complex whose total complex yields cochain maps X, Y, Z between
-powers of the module; H^0, H^1, H^2 are then kernels modulo images.  The
-blocks are S = 1 - sigma, T = 1 - tau and the norms U, V, arranged as
+generators sigma and tau.  The periodic resolutions of the two cyclic
+factors tensor into a double complex, and its total complex (Brown,
+*Cohomology of Groups*, GTM 87) has M^(k+1) in degree k: one copy of the
+module for each bidegree (i, j) with i + j = k, listed by decreasing i,
+so (i, j) is block j.  With the blocks S = 1 - sigma, T = 1 - tau and
+the norms U, V of sigma and tau, the differential d^k follows one rule:
 
-    X = [S T],   Y = [[U, T, 0], [0, -S, V]],
-    Z = [[S, T, 0, 0], [0, -U, V, 0], [0, 0, S, T]],
+    (i, j) -> (i+1, j)  is  (-1)^j S  for even i,  (-1)^j U  for odd i;
+    (i, j) -> (i, j+1)  is  T         for even j,  V         for odd j.
 
-with the row convention: a cochain is a row vector acted on from the
-right.  All computations are exact over Z/p.
+Degree 0 gives d^0 = [S T], for instance, and H^k = ker d^k / im d^(k-1),
+with im d^(-1) empty.  The row convention holds: a cochain is a row vector
+acted on from the right.  All computations are exact over Z/p.
 
 The norm of sigma is 1 + sigma + ... + sigma^(p-1) = (sigma - 1)^(p-1),
 because (x^p - 1)/(x - 1) = (x - 1)^(p-1) in F_p[x]; as p - 1 is even for
@@ -18,9 +21,9 @@ odd p (and -1 = 1 for p = 2), that is U = S^(p-1).  For the same reason
 sigma^p - 1 = (sigma - 1)^p = -S^p, so sigma has order dividing p exactly
 when U S = 0.  ``GModule`` validation therefore computes the blocks
 S, T, U, V once, as sparse rows (see ``fp_linalg``), and uses them for its
-own checks; the complex is stacked from those blocks, and ``h_groups``
-keeps its rows sparse through every kernel, image and subquotient, so
-only the reported bases become dense.
+own checks; every differential is built from those blocks, and
+``h_groups`` keeps its rows sparse through every kernel, image and
+subquotient, so only the reported bases become dense.
 """
 
 from __future__ import annotations
@@ -81,46 +84,31 @@ def _one_minus(act: FpMatrix) -> list[SparseRow]:
     return rows
 
 
-def _stack(layout, dim: int) -> list[SparseRow]:
-    """Sparse rows of a grid of dim x dim blocks, None meaning zero."""
-    rows = []
-    for block_row in layout:
-        for i in range(dim):
-            row: SparseRow = {}
-            for k, block in enumerate(block_row):
-                if block is not None:
-                    offset = k * dim
-                    for j, x in block[i].items():
-                        row[offset + j] = x
-            rows.append(row)
-    return rows
-
-
-def _cochain_maps(mod: GModule) -> tuple[list[SparseRow], list[SparseRow], list[SparseRow]]:
-    """X, Y and Z as sparse rows, stacked from the blocks of the module."""
+def _differential(mod: GModule, k: int) -> list[SparseRow]:
+    """d^k : M^(k+1) -> M^(k+2) as sparse rows, by the bidegree rule."""
     p, dim = mod.p, mod.dim
     s, t, u, v = mod._blocks
-    minus_s, minus_u = ([{j: p - x for j, x in row.items()} for row in b] for b in (s, u))
-    x = _stack([[s, t]], dim)
-    y = _stack([[u, t, None], [None, minus_s, v]], dim)
-    z = _stack(
-        [
-            [s, t, None, None],
-            [None, minus_u, v, None],
-            [None, None, s, t],
-        ],
-        dim,
-    )
-    return x, y, z
+    rows = []
+    for j in range(k + 1):
+        vertical = u if (k - j) % 2 else s
+        if j % 2:
+            vertical = [{c: p - x for c, x in row.items()} for row in vertical]
+        horizontal = v if j % 2 else t
+        left, right = j * dim, (j + 1) * dim
+        for a, b in zip(vertical, horizontal):
+            row = {left + c: x for c, x in a.items()}
+            for c, x in b.items():
+                row[right + c] = x
+            rows.append(row)
+    return rows
 
 
 def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
     """The three cochain maps M -> M^2 -> M^3 -> M^4 as row-acting matrices."""
     p, dim = mod.p, mod.dim
-    widths = (2 * dim, 3 * dim, 4 * dim)
     return tuple(
-        FpMatrix(p, len(rows), n, fp_linalg._dense(rows, n))
-        for rows, n in zip(_cochain_maps(mod), widths)
+        FpMatrix(p, (k + 1) * dim, n, fp_linalg._dense(_differential(mod, k), n))
+        for k, n in enumerate((2 * dim, 3 * dim, 4 * dim))
     )
 
 
@@ -138,23 +126,17 @@ class CohomologyGroups:
 
 
 def h_groups(mod: GModule) -> CohomologyGroups:
-    """H^0, H^1, H^2 of the module as subquotient reports."""
+    """H^0, H^1, H^2 of the module as subquotient reports: H^k is
+    ker d^k / im d^(k-1), where im d^(-1) is empty."""
     p, dim = mod.p, mod.dim
-    x, y, z = _cochain_maps(mod)
-    invariants = fp_linalg._dense(fp_linalg._left_kernel(p, x), dim)
-    h0 = SubquotientReport(
-        ambient_dim=dim,
-        kernel_basis=invariants,
-        image_basis=(),
-        coset_basis=invariants,
-    )
-    h1 = fp_linalg._subquotient(
-        p, 2 * dim, fp_linalg._left_kernel(p, y), fp_linalg._rref(p, x)[0]
-    )
-    h2 = fp_linalg._subquotient(
-        p, 3 * dim, fp_linalg._left_kernel(p, z), fp_linalg._rref(p, y)[0]
-    )
-    return CohomologyGroups(h0, h1, h2)
+    reports, image = [], []
+    for k in range(3):
+        d = _differential(mod, k)
+        kernel = fp_linalg._left_kernel(p, d)
+        reports.append(fp_linalg._subquotient(p, (k + 1) * dim, kernel, image))
+        if k < 2:  # im d^2 would only serve H^3
+            image = fp_linalg._rref(p, d)[0]
+    return CohomologyGroups(*reports)
 
 
 def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:
@@ -203,8 +185,7 @@ def validate_basis(vectors, mod: GModule, degree: int) -> BasisValidation:
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
     p = mod.p
-    maps = _cochain_maps(mod)
-    outgoing, incoming = maps[degree], maps[degree - 1]
+    outgoing, incoming = _differential(mod, degree), _differential(mod, degree - 1)
     if any(len(v) != len(outgoing) for v in vectors):
         raise ValueError("vector length does not match row count")
     listed = fp_linalg._sparse(p, vectors)
@@ -268,12 +249,14 @@ def h1x_module() -> GModule:
 
 
 def wedge_module() -> GModule:
-    """Second exterior power of the affine homology.
+    """The six-dimensional module of the paper's wedge row.
 
-    The generator blocks are taken to be the exterior squares of the
-    corresponding blocks on the four-dimensional module; both squares
-    vanish (the sigma block has rank one), so the resulting actions are
-    trivial on the six wedge coordinates.
+    Its generators act by 1 - L(1 - sigma) and 1 - L(1 - tau), where L is
+    the exterior square of a block of the affine homology.  Both squares
+    vanish (the sigma block has rank one, the tau block is zero), so both
+    actions are the 6 x 6 identity and the dimensions (6, 12, 18) hold by
+    construction.  The functorial module, with actions L(sigma) and
+    L(tau), is a different one.
     """
     base = h1u_module()
     ident4 = FpMatrix.identity(3, 4)

@@ -152,7 +152,10 @@ class IdentityReport:
         }
 
 
-def verify_cyclotomic_identities(p: int, max_p: int = 23) -> IdentityReport:
+MAX_P = 23
+
+
+def verify_cyclotomic_identities(p: int) -> IdentityReport:
     """Verify, by multiplication only:
 
     (i)   the product of 1 - zeta^i over i = 1..p-1 equals p;
@@ -162,8 +165,8 @@ def verify_cyclotomic_identities(p: int, max_p: int = 23) -> IdentityReport:
     (iv)  the half-range cyclotomic units have norm of absolute value one,
           certified by norm(zeta^{(1-a)/2} (1 - zeta^a)) = +-p.
     """
-    if p > max_p:
-        raise ValueError(f"p={p} exceeds the configured bound {max_p}")
+    if p > MAX_P:
+        raise ValueError(f"p={p} exceeds the configured bound {MAX_P}")
     one = CyclotomicInt.one(p)
     p_elt = CyclotomicInt.integer(p, p)
 

@@ -386,9 +386,12 @@ def _subquotient(
     kernel_rows = {min(row): row for row in kernel}
     if any(_reduce(p, row, kernel_rows) for row in image):
         raise ContainmentViolation("image generators do not lie in the kernel span")
-    image_rows = {min(row): row for row in image}
-    residues = [r for r in (_reduce(p, row, image_rows) for row in kernel) if r]
-    coset = _rref(p, residues)[0] if residues else []
+    # with no image, the kernel basis is its own canonical coset basis
+    coset = kernel
+    if image:
+        image_rows = {min(row): row for row in image}
+        residues = [r for r in (_reduce(p, row, image_rows) for row in kernel) if r]
+        coset = _rref(p, residues)[0] if residues else []
     if len(coset) != len(kernel) - len(image):
         raise AssertionError("coset dimension mismatch")
     return SubquotientReport(

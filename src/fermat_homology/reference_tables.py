@@ -138,26 +138,8 @@ class ReferenceTables:
         """The printed list `key` as coordinate vectors."""
         return [_parse_blocks(key, blocks) for blocks in self.raw[key]]
 
-    def kernel_y_vectors(self) -> list[tuple[int, ...]]:
-        return self.vectors("kernel_y_lambda1")
-
-    def image_x_vectors(self) -> list[tuple[int, ...]]:
-        return self.vectors("image_x_lambda1")
-
-    def h1_lambda1_vectors(self) -> list[tuple[int, ...]]:
-        return self.vectors("h1_lambda1")
-
     def h1_lambda1_misprint(self) -> dict:
         return dict(self.raw["h1_lambda1_misprint"])
-
-    def h2_lambda1_vectors(self) -> list[tuple[int, ...]]:
-        return self.vectors("h2_lambda1")
-
-    def h1_h1u_vectors(self) -> list[tuple[int, ...]]:
-        return self.vectors("h1_h1u")
-
-    def h2_h1u_vectors(self) -> list[tuple[int, ...]]:
-        return self.vectors("h2_h1u")
 
     def findings(self, key: str | None = None) -> list[TableFinding]:
         """Recorded findings, all of them or those on the list `key`.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fermat_homology import reproduction
 from fermat_homology.bsigma import bsigma_p3
 from fermat_homology.cli import main
 from fermat_homology.group_ring import GroupRingElement
@@ -65,6 +66,20 @@ def test_cohomology_validation_exit_code(capsys):
     code, out = run_cli(capsys, "cohomology", "--validate-paper")
     assert code == 1
     assert out.count("FAIL") == 2
+
+
+def test_validate_paper_prints_the_listed_rows_of_the_scorecard(capsys, monkeypatch):
+    _, full = run_cli(capsys, "reproduce-paper", "--json")
+    listed = [row for row in json.loads(full) if row["name"].startswith("listed")]
+    assert len(listed) == 6
+
+    def oracle_not_expected(*args):
+        raise AssertionError("--validate-paper ran the gamma oracle")
+
+    monkeypatch.setattr(reproduction, "gamma_oracle_p3", oracle_not_expected)
+    code, out = run_cli(capsys, "cohomology", "--validate-paper", "--json")
+    assert code == 1
+    assert json.loads(out) == listed
 
 
 def test_cyclotomic_verify(capsys):

@@ -9,6 +9,7 @@ from fermat_homology.bsigma import bsigma_p3
 from fermat_homology.cohomology import (
     CohomologyGroups,
     GModule,
+    _differential,
     annihilator,
     build_complex,
     h1u_module,
@@ -21,7 +22,8 @@ from fermat_homology.cohomology import (
     wedge_module,
 )
 from fermat_homology.errors import InvalidAction
-from fermat_homology.group_ring import GroupRingElement
+from fermat_homology.group_ring import GroupRingElement, multiplication_matrix
+from fermat_homology.homology import action_matrix, h1U_basis
 from fermat_homology.reference_tables import ReferenceTables, load_tables
 from oracles import bar_cohomology_trivial, closure_rank, degree_one_coboundary
 
@@ -206,6 +208,57 @@ def test_complex_property_on_random_modules():
         assert (y @ z).is_zero()
 
 
+TOP_DEGREE = 4
+
+
+def dims_up_to(mod, top=TOP_DEGREE):
+    """dim H^k for k <= top, straight from the differentials: d^k leaves
+    M^(k+1), so dim H^k = (k+1) dim M - rank d^k - rank d^(k-1)."""
+    ranks = [len(fl._rref(mod.p, _differential(mod, k))[0]) for k in range(top + 1)]
+    return tuple(
+        (k + 1) * mod.dim - ranks[k] - (ranks[k - 1] if k else 0) for k in range(top + 1)
+    )
+
+
+def natural_module(p, kind):
+    """H1(U) or the free module Lambda_1 under the natural (e_0, e_1) action."""
+    e0 = GroupRingElement.monomial(p, 1, (1, 0))
+    e1 = GroupRingElement.monomial(p, 1, (0, 1))
+    if kind == "lambda1":
+        return GModule(p, p * p, multiplication_matrix(e0), multiplication_matrix(e1))
+    basis = h1U_basis(p)
+    return GModule(p, len(basis), action_matrix(e0, basis), action_matrix(e1, basis))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_differentials_compose_to_zero_beyond_degree_two(p):
+    rng = random.Random(f"differentials/{p}")
+    for dim in (1, 4, 7):
+        mod = random_commuting_module(rng, p=p, dim=dim)
+        maps = [_differential(mod, k) for k in range(TOP_DEGREE + 2)]
+        for k, d in enumerate(maps):
+            assert len(d) == (k + 1) * dim
+            assert all(0 <= col < (k + 2) * dim for row in d for col in row)
+        for k in range(TOP_DEGREE + 1):
+            assert not any(fl._matmul(p, maps[k], maps[k + 1]))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_trivial_module_follows_kunneth_beyond_degree_two(p):
+    assert dims_up_to(trivial_module(p, 1)) == (1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_natural_action_beyond_degree_two(p):
+    assert dims_up_to(natural_module(p, "h1u")) == (1, 2, 3, 4, 5)
+    assert dims_up_to(natural_module(p, "lambda1")) == (1, 0, 0, 0, 0)
+
+
+def test_paper_modules_beyond_degree_two():
+    assert dims_up_to(lambda1_module()) == (5, 9, 13, 17, 21)
+    assert dims_up_to(h1u_module()) == (3, 6, 9, 12, 15)
+
+
 def test_dimensions_for_the_standard_modules():
     assert h_groups(lambda1_module()).dims() == (5, 9, 13)
     assert h_groups(h1u_module()).dims() == (3, 6, 9)
@@ -278,10 +331,10 @@ def test_annihilators_match_ideal_descriptions():
 def test_listed_bases_for_the_group_ring_validate():
     tables = load_tables()
     mod = lambda1_module()
-    degree_one = validate_basis(tables.h1_lambda1_vectors(), mod, 1)
+    degree_one = validate_basis(tables.vectors("h1_lambda1"), mod, 1)
     assert degree_one.all_pass
     assert degree_one.expected_dim == 9
-    degree_two = validate_basis(tables.h2_lambda1_vectors(), mod, 2)
+    degree_two = validate_basis(tables.vectors("h2_lambda1"), mod, 2)
     assert degree_two.all_pass
     assert degree_two.expected_dim == 13
 
@@ -289,7 +342,7 @@ def test_listed_bases_for_the_group_ring_validate():
 def test_misprint_reading_is_a_cocycle():
     tables = load_tables()
     misprint = tables.h1_lambda1_misprint()
-    vector = tables.h1_lambda1_vectors()[misprint["index"]]
+    vector = tables.vectors("h1_lambda1")[misprint["index"]]
     _, y, _ = build_complex(lambda1_module())
     assert not any(y.apply_row(vector))
 
@@ -300,7 +353,7 @@ def test_listed_degree_one_affine_basis_status():
     sign-corrected readings give a valid basis."""
     tables = load_tables()
     mod = h1u_module()
-    val = validate_basis(tables.h1_h1u_vectors(), mod, 1)
+    val = validate_basis(tables.vectors("h1_h1u"), mod, 1)
     assert val.memberships == (True, True, True, True, False, False)
     assert [f.index for f in tables.findings("h1_h1u")] == [4, 5]
     assert validate_basis(tables.read_vectors("h1_h1u"), mod, 1).all_pass
@@ -308,7 +361,7 @@ def test_listed_degree_one_affine_basis_status():
 
 def test_listed_degree_two_affine_basis_validates():
     tables = load_tables()
-    assert validate_basis(tables.h2_h1u_vectors(), h1u_module(), 2).all_pass
+    assert validate_basis(tables.vectors("h2_h1u"), h1u_module(), 2).all_pass
 
 
 def test_listed_kernel_and_image_vectors_status():
@@ -317,11 +370,11 @@ def test_listed_kernel_and_image_vectors_status():
     neither candidate space."""
     tables = load_tables()
     x, y, _ = build_complex(lambda1_module())
-    for v in tables.kernel_y_vectors():
+    for v in tables.vectors("kernel_y_lambda1"):
         assert not any(y.apply_row(v))
     image = fl.image_basis(x.transpose())
     pivots = fl.pivot_columns(image)
-    listed = tables.image_x_vectors()
+    listed = tables.vectors("image_x_lambda1")
     assert [
         not any(fl.reduce_vector(3, v, image, pivots)) for v in listed
     ] == [False, False, False, False]
