@@ -144,7 +144,7 @@ def in_augmentation_ideal(x: GroupRingElement) -> bool:
     e1 = GroupRingElement.monomial(n, 1, (0, 1))
     generator = (one - e0) * (one - e1)
     matrix = multiplication_matrix(generator)
-    return fp_linalg.solve(matrix.transpose(), x.coeffs) is not None
+    return fp_linalg.solve_many(matrix.transpose(), [x.coeffs])[0] is not None
 
 
 def verify_bsigma(b: GroupRingElement) -> VerificationReport:

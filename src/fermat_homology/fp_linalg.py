@@ -9,10 +9,15 @@ zero, so the work follows the nonzeros rather than rows x columns (the
 differentials of the cohomology complexes are almost empty).  ``_rref`` is
 the one elimination: each incoming row is reduced against the pivot rows
 kept so far, which stay fully reduced, and the result is the unique RREF
-as sparse pivot rows in pivot order.  The public functions take and
-return dense tuples and convert at their boundary with one scan of their
-input; ``cohomology`` keeps its rows sparse from the action matrices to
-the bases it reports.
+as sparse pivot rows in pivot order.  It takes the rows by decreasing
+leading column, so a new pivot lands left of the earlier ones, where no
+earlier pivot row can hold it, unless rows share a leading column; only
+then is the new pivot cleared from earlier rows (back-substitution).  The
+public functions take and return dense tuples and convert at their
+boundary with one scan of their input; ``cohomology`` keeps its rows
+sparse from the action matrices to the bases it reports, and
+``homology.action_matrix`` hands the sparse rows of its system straight
+to ``_solve``, the sparse core of ``solve_many``.
 
 ``solve_many`` answers a batch of right-hand sides with one elimination of
 the augmented matrix.  Kernels need one elimination too: the columns are
@@ -182,13 +187,20 @@ def _rref(p: int, rows) -> tuple[list[SparseRow], list[int]]:
     """Reduced row echelon form of sparse rows with entries in [1, p).
 
     Returns the nonzero rows of the RREF in pivot order and their pivot
-    columns; the input rows are left unchanged.  Each incoming row is
-    reduced against the pivot rows kept so far; if anything survives it
-    is normalized at its leading column, which is then cleared from the
-    earlier pivot rows, so those stay fully reduced.
+    columns; the input rows are left unchanged.  The nonempty rows are
+    taken by decreasing leading column, and each is reduced against the
+    pivot rows kept so far; if anything survives it is normalized at its
+    leading column.  A pivot row is zero left of its pivot, so only the
+    earlier pivot rows whose pivot lies left of that column can hold it,
+    and it is cleared from those, which keeps them fully reduced.  In this
+    order every pivot so far lies at or right of an incoming row's leading
+    column, so unless that column is already a pivot the row keeps it as
+    its lead, left of every pivot, and no row is scanned at all.  The RREF
+    is unique, so the order changes only the work, never the result.
     """
     basis: dict[int, SparseRow] = {}
-    for row in rows:
+    first = None  # the leftmost pivot column so far
+    for row in sorted((row for row in rows if row), key=min, reverse=True):
         row = _reduce(p, row, basis)
         if not row:
             continue
@@ -196,10 +208,12 @@ def _rref(p: int, rows) -> tuple[list[SparseRow], list[int]]:
         inv = pow(row[lead], p - 2, p)
         if inv != 1:
             row = {j: x * inv % p for j, x in row.items()}
-        for other in basis.values():
-            c = other.get(lead)
-            if c:
-                _subtract(p, other, c, row)
+        if first is None or lead < first:
+            first = lead
+        else:
+            for col, other in basis.items():
+                if col < lead and lead in other:
+                    _subtract(p, other, other[lead], row)
         basis[lead] = row
     pivots = sorted(basis)
     return [basis[col] for col in pivots], pivots
@@ -304,6 +318,25 @@ def image_basis(m: FpMatrix) -> list[Vector]:
     return row_space_basis(m.p, zip(*m.entries)) if m.rows else []
 
 
+def _solve(p: int, cols: int, rows, k: int) -> list[SparseRow | None]:
+    """Sparse solutions of M x = b_t for t < k, from the sparse rows of
+    [M | b_0 ... b_(k-1)]: columns j < ``cols`` hold M and column cols + t
+    holds b_t.  One elimination serves every right-hand side; free
+    coordinates are zero and an inconsistent system gives None.
+    """
+    reduced, pivots = _rref(p, rows)
+    solutions: list[SparseRow] = [{} for _ in range(k)]
+    inconsistent: set[int] = set()
+    for row, col in zip(reduced, pivots):
+        if col >= cols:
+            inconsistent.update(row)
+            continue
+        for j, x in row.items():
+            if j >= cols:
+                solutions[j - cols][col] = x
+    return [None if cols + t in inconsistent else x for t, x in enumerate(solutions)]
+
+
 def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
     """For each b in ``bs``, one solution x of M x = b, or None when that
     system is inconsistent.
@@ -322,24 +355,9 @@ def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
         for i, x in enumerate(b):
             if x:
                 rows[i][k] = x
-    reduced, pivots = _rref(p, rows)
-    solutions = [[0] * cols for _ in bs]
-    inconsistent: set[int] = set()
-    for row, col in zip(reduced, pivots):
-        if col >= cols:
-            inconsistent.update(row)
-            continue
-        for j, x in row.items():
-            if j >= cols:
-                solutions[j - cols][col] = x
     return [
-        None if cols + k in inconsistent else tuple(x) for k, x in enumerate(solutions)
+        None if x is None else _dense([x], cols)[0] for x in _solve(p, cols, rows, len(bs))
     ]
-
-
-def solve(m: FpMatrix, b: Vector) -> Vector | None:
-    """One solution x of M x = b, or None when the system is inconsistent."""
-    return solve_many(m, [b])[0]
 
 
 @dataclass(frozen=True)

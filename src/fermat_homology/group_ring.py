@@ -166,9 +166,15 @@ class GroupRingElement:
         self._check_compatible(other)
         n, ring = self.n, self.ring
         add, mul = ring.add, ring.mul
-        out = [ring.zero] * len(other.coeffs)
+        out = None
         for exps, c in self.support():
-            out = [add(x, mul(c, y)) for x, y in zip(out, _shift(other.coeffs, n, exps))]
+            turned = _shift(other.coeffs, n, exps)
+            if out is None:
+                out = [mul(c, y) for y in turned]
+            else:
+                out = [add(x, mul(c, y)) for x, y in zip(out, turned)]
+        if out is None:
+            out = [ring.zero] * len(other.coeffs)
         return GroupRingElement(n, self.m, ring, tuple(out))
 
     def scale(self, c) -> "GroupRingElement":

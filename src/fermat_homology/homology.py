@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from . import fp_linalg
 from .errors import NotInvariant
 from .group_ring import GroupRingElement
+from .scalars import is_prime
 
 
 @dataclass(frozen=True)
@@ -169,13 +170,24 @@ def action_matrix(
     With ``modulo`` the images are reduced against those extra vectors
     first, giving the induced map on the quotient.  Raises NotInvariant
     when an image leaves the allowed span.  Requires prime n.
+
+    Row i of the linear system is monomial i: it holds the i-th
+    coefficient of each basis and modulo vector, then of each image, read
+    from their nonzeros.  One sparse elimination solves for every image;
+    the basis part of each solution is its row of the matrix.
     """
-    n = b.n
-    columns = [rc.vector() for rc in basis]
-    if modulo:
-        columns = columns + [rc.vector() for rc in modulo]
-    system = fp_linalg.FpMatrix.from_rows(n, columns).transpose()
-    solutions = fp_linalg.solve_many(system, [(b * rc.w).coeffs for rc in basis])
+    n, size = b.n, len(basis)
+    if not is_prime(n):
+        raise ValueError(f"modulus must be prime, got {n}")
+    vectors = [rc.vector() for rc in [*basis, *(modulo or [])]]
+    cols = len(vectors)
+    vectors += [(b * rc.w).coeffs for rc in basis]
+    rows: list[fp_linalg.SparseRow] = [{} for _ in range(n * n)]
+    for k, v in enumerate(fp_linalg._sparse(n, vectors)):
+        for i, x in v.items():
+            rows[i][k] = x
+    solutions = fp_linalg._solve(n, cols, rows, size)
     if any(x is None for x in solutions):
         raise NotInvariant("multiplication left the span of the basis")
-    return fp_linalg.FpMatrix.from_rows(n, [x[: len(basis)] for x in solutions])
+    keep = [{j: x for j, x in sol.items() if j < size} for sol in solutions]
+    return fp_linalg.FpMatrix(n, size, size, fp_linalg._dense(keep, size))

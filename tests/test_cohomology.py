@@ -48,7 +48,7 @@ def random_commuting_module(rng, p=3, dim=6):
         )
         if fl.rank(cand) == dim:
             break
-    inverse_cols = [fl.solve(cand, tuple(1 if i == j else 0 for i in range(dim))) for j in range(dim)]
+    inverse_cols = [fl.solve_many(cand, [tuple(1 if i == j else 0 for i in range(dim))])[0] for j in range(dim)]
     cand_inv = fl.FpMatrix.from_rows(p, list(zip(*inverse_cols)))
     return GModule(p, dim, cand_inv @ act_a @ cand, cand_inv @ act_b @ cand)
 

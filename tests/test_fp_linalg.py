@@ -160,13 +160,24 @@ def test_solve_round_trip():
         m = random_matrix(rng, 5, rng.randrange(1, 6), rng.randrange(1, 6))
         x = [rng.randrange(5) for _ in range(m.cols)]
         b = tuple(sum(m.entries[i][j] * x[j] for j in range(m.cols)) % 5 for i in range(m.rows))
-        sol = fl.solve(m, b)
+        sol = fl.solve_many(m, [b])[0]
         assert sol is not None
         check = tuple(
             sum(m.entries[i][j] * sol[j] for j in range(m.cols)) % 5 for i in range(m.rows)
         )
         assert check == b
-    assert fl.solve(fl.FpMatrix.zeros(3, 2, 2), (1, 0)) is None
+    assert fl.solve_many(fl.FpMatrix.zeros(3, 2, 2), [(1, 0)])[0] is None
+
+
+def test_rref_clears_a_new_pivot_from_an_earlier_pivot_row():
+    # both rows lead at column 0; the second reduces to a row leading at
+    # column 1, right of the first pivot, whose row must then be cleared there
+    rows = [(1, 1, 0), (1, 0, 1)]
+    expected = [(1, 0, 1), (0, 1, 4)]
+    assert fl.row_space_basis(5, rows) == expected
+    assert fl.row_space_basis(5, rows[::-1]) == expected
+    reduced, pivots = fl._rref(5, fl._sparse(5, rows))
+    assert reduced == [{0: 1, 2: 1}, {1: 1, 2: 4}] and pivots == [0, 1]
 
 
 def test_results_are_deterministic():
@@ -220,4 +231,4 @@ def test_zero_row_matrices_keep_their_column_count():
 def test_solve_many_on_a_matrix_without_rows():
     m = fl.FpMatrix.zeros(5, 0, 3)
     assert fl.solve_many(m, [(), ()]) == [(0, 0, 0), (0, 0, 0)]
-    assert fl.solve(m, ()) == (0, 0, 0)
+    assert fl.solve_many(m, [()])[0] == (0, 0, 0)

@@ -88,7 +88,7 @@ def test_solve_many_matches_solve_column_by_column(p, rows, cols, density):
     left_null = oracle_null_rows(p, [list(col) for col in zip(*table)], rows)
 
     solutions = fl.solve_many(m, bs)
-    assert solutions == [fl.solve(m, b) for b in bs]
+    assert solutions == [fl.solve_many(m, [b])[0] for b in bs]
     for b, x in zip(bs, solutions):
         solvable = all(sum(y * v for y, v in zip(w, b)) % p == 0 for w in left_null)
         assert (x is not None) == solvable
@@ -114,6 +114,22 @@ def test_row_space_basis_accepts_negative_and_unreduced_entries(p):
     reduced = [[x % p for x in row] for row in table]
     assert fl.row_space_basis(p, table) == fl.row_space_basis(p, reduced)
     assert fl.row_space_basis(p, table) == oracle_rref_rows(p, reduced, 12)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_rref_does_not_depend_on_row_order(p):
+    rng = random.Random(f"order/{p}")
+    for density in (1.0, 0.3, 0.05):
+        table = random_rows(rng, p, 10, 14, density)
+        # empty rows, duplicates and a multiple of a row besides the random ones
+        table += [[0] * 14, [0] * 14, table[0], table[3], [2 * x % p for x in table[5]]]
+        expected = oracle_rref_rows(p, table, 14)
+        for _ in range(5):
+            rng.shuffle(table)
+            assert fl.row_space_basis(p, table) == expected
+            reduced, pivots = fl._rref(p, fl._sparse(p, table))
+            assert list(fl._dense(reduced, 14)) == expected
+            assert pivots == fl.pivot_columns(expected)
 
 
 def natural_modules(p):

@@ -260,6 +260,27 @@ def test_product_matches_the_convolution_oracle_over_f27(arity):
         assert (x * y).coeffs == oracle_product(3, arity, GF27, a, b)
 
 
+def unreduced_table(rng, ring, size):
+    if ring == GF27:
+        return tuple(tuple(rng.randrange(-6, 6) for _ in range(3)) for _ in range(size))
+    return tuple(rng.randrange(-3 * ring.n, 3 * ring.n) for _ in range(size))
+
+
+@pytest.mark.parametrize("ring", (Zmod(4), Zmod(5), GF27), ids=repr)
+@pytest.mark.parametrize("arity", (1, 2))
+def test_product_of_unreduced_tables_matches_the_convolution_oracle(ring, arity):
+    n = 3 if ring == GF27 else ring.n
+    rng = random.Random(f"unreduced/{ring!r}/{arity}")
+    one = GroupRingElement.one(n, arity - 1, ring)
+    for _ in range(3):
+        a, b = (unreduced_table(rng, ring, n**arity) for _ in range(2))
+        x = GroupRingElement(n, arity - 1, ring, a)
+        y = GroupRingElement(n, arity - 1, ring, b)
+        assert (x * y).coeffs == oracle_product(n, arity, ring, a, b)
+        # a product by the one still normalizes the unreduced table
+        assert (one * y).coeffs == oracle_product(n, arity, ring, one.coeffs, b)
+
+
 def test_powers_match_repeated_oracle_products():
     rng = random.Random(8)
     ring = Zmod(5)

@@ -246,7 +246,7 @@ def action_matrix_one_solve_per_vector(b, basis, modulo=None):
     system = fl.FpMatrix.from_rows(n, columns).transpose()
     rows = []
     for rc in basis:
-        x = fl.solve(system, (b * rc.w).coeffs)
+        x = fl.solve_many(system, [(b * rc.w).coeffs])[0]
         assert x is not None
         rows.append(x[: len(basis)])
     return fl.FpMatrix.from_rows(n, rows)
@@ -284,3 +284,42 @@ def test_batched_action_matrix_rejects_an_image_outside_the_span():
     basis = h1U_basis(5)[:-1]
     with pytest.raises(NotInvariant):
         action_matrix(GroupRingElement.monomial(5, 1, (1, 0)), basis)
+
+
+def non_monomial_generators(n):
+    rng = random.Random(f"non-monomial/{n}")
+    dense = {(i, j): rng.randrange(n) for i in range(n) for j in range(n)}
+    sparse = {(0, 0): 2, (1, 0): 1, (2, 3): n - 1, (1, 1): 3}
+    return [GroupRingElement.from_dict(n, 1, c) for c in (dense, sparse)]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_action_matrix_of_a_non_monomial_element_on_h1u(n):
+    basis = h1U_basis(n)
+    for b in non_monomial_generators(n):
+        assert action_matrix(b, basis) == action_matrix_one_solve_per_vector(b, basis)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_action_matrix_of_a_non_monomial_element_on_h1x(n):
+    reps = [
+        RelativeClass(GroupRingElement(n, 1, Zmod(n), tuple(v)))
+        for v in h1X_subquotient(n).coset_basis
+    ]
+    stab = stab_basis(n)
+    for b in non_monomial_generators(n):
+        expected = action_matrix_one_solve_per_vector(b, reps, modulo=stab)
+        assert action_matrix(b, reps, modulo=stab) == expected
+
+
+@pytest.mark.parametrize("basis", [h1U_basis(4), []])
+def test_action_matrix_rejects_a_composite_modulus(basis):
+    with pytest.raises(ValueError, match=r"^modulus must be prime, got 4$"):
+        action_matrix(GroupRingElement.monomial(4, 1, (1, 0)), basis)
+
+
+def test_action_matrix_on_an_empty_basis_is_zero_by_zero():
+    b = GroupRingElement.monomial(5, 1, (1, 0))
+    empty = fl.FpMatrix(5, 0, 0, ())
+    assert action_matrix(b, []) == empty
+    assert action_matrix(b, [], modulo=stab_basis(5)) == empty
