@@ -26,10 +26,10 @@ are already the canonical (RREF) kernel basis.  Matrix powers use
 repeated squaring.  Maps written as matrices follow the row convention
 used throughout the package: row k of a matrix holds the coordinates of
 the image of the k-th basis vector, and vectors act on the left
-(v -> v @ M).  The kernel/image helpers below are plain column-convention
-linear algebra ({v : Mv = 0}, column span); callers with row-acting maps
-pass the transpose, or their sparse rows to ``_left_kernel``, which
-gathers the columns from the nonzeros.
+(v -> v @ M).  ``kernel_basis`` is plain column-convention linear
+algebra ({v : Mv = 0}); callers with row-acting maps pass the transpose,
+or their sparse rows to ``_left_kernel``, which gathers the columns from
+the nonzeros.  A column span is ``row_space_basis(p, zip(*M.entries))``.
 """
 
 from __future__ import annotations
@@ -311,11 +311,6 @@ def kernel_basis(m: FpMatrix) -> list[Vector]:
     n = m.cols
     rows = [{n - 1 - j: x for j, x in enumerate(row) if x} for row in m.entries]
     return list(_dense(_kernel(m.p, n, rows), n))
-
-
-def image_basis(m: FpMatrix) -> list[Vector]:
-    """Canonical basis of the column span of M."""
-    return row_space_basis(m.p, zip(*m.entries)) if m.rows else []
 
 
 def _solve(p: int, cols: int, rows, k: int) -> list[SparseRow | None]:

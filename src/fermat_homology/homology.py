@@ -6,6 +6,9 @@ The boundary map lands in two copies of Lambda_0 (one per axis); its
 kernel is cut out by vanishing row and column sums, the projective curve
 quotients that kernel by the shift-invariant classes, and multiplication
 by a group-ring element gives the action matrices on any invariant basis.
+The image b*W of each class is read from the nonzeros of W: a term
+c*e^s of b moves each coefficient to another monomial (the index rotation
+of ``group_ring._shift``), so no group-ring product is formed.
 
 Everything here works over Z/n for any n >= 3: the bases are explicit
 monomial combinations, so no field elimination is needed to produce them.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 from . import fp_linalg
 from .errors import NotInvariant
-from .group_ring import GroupRingElement
+from .group_ring import GroupRingElement, _shift
 from .scalars import is_prime
 
 
@@ -172,20 +175,35 @@ def action_matrix(
     when an image leaves the allowed span.  Requires prime n.
 
     Row i of the linear system is monomial i: it holds the i-th
-    coefficient of each basis and modulo vector, then of each image, read
-    from their nonzeros.  One sparse elimination solves for every image;
-    the basis part of each solution is its row of the matrix.
+    coefficient of each basis and modulo vector, then of each image b*W.
+    The images come from the nonzeros of each W, with no group-ring
+    product: a term c*e^s of b sends the entry x at monomial i to c*x at
+    monomial i + s, read off the index table rotated by ``_shift``.  One
+    sparse elimination solves for every image; the basis part of each
+    solution is its row of the matrix.
     """
     n, size = b.n, len(basis)
     if not is_prime(n):
         raise ValueError(f"modulus must be prime, got {n}")
-    vectors = [rc.vector() for rc in [*basis, *(modulo or [])]]
+    for rc in basis:
+        b._check_compatible(rc.w)
+    vectors = fp_linalg._sparse(n, [rc.vector() for rc in [*basis, *(modulo or [])]])
     cols = len(vectors)
-    vectors += [(b * rc.w).coeffs for rc in basis]
     rows: list[fp_linalg.SparseRow] = [{} for _ in range(n * n)]
-    for k, v in enumerate(fp_linalg._sparse(n, vectors)):
+    for k, v in enumerate(vectors):
         for i, x in v.items():
             rows[i][k] = x
+    for exps, c in b.support():
+        # e^s * a has a[j - s] at j, so rotating the indices by -s gives
+        # the monomial that i moves to.
+        target = _shift(range(n * n), n, [-s for s in exps])
+        for k, v in enumerate(vectors[:size], start=cols):
+            for i, x in v.items():
+                row = rows[target[i]]
+                if y := (row.get(k, 0) + c * x) % n:
+                    row[k] = y
+                else:
+                    row.pop(k, None)
     solutions = fp_linalg._solve(n, cols, rows, size)
     if any(x is None for x in solutions):
         raise NotInvariant("multiplication left the span of the basis")

@@ -263,7 +263,7 @@ def _check_listed_bases(tables, out):
     transpose_stack = fp_linalg.FpMatrix.from_rows(
         3, list(tables.s_matrix().entries) + list(tables.t_matrix().entries)
     )
-    transpose_image = fp_linalg.image_basis(transpose_stack)
+    transpose_image = fp_linalg.row_space_basis(3, zip(*transpose_stack.entries))
     transpose_pivots = fp_linalg.pivot_columns(transpose_image)
     in_transpose = [
         not any(fp_linalg.reduce_vector(3, v, transpose_image, transpose_pivots))

@@ -372,7 +372,7 @@ def test_listed_kernel_and_image_vectors_status():
     x, y, _ = build_complex(lambda1_module())
     for v in tables.vectors("kernel_y_lambda1"):
         assert not any(y.apply_row(v))
-    image = fl.image_basis(x.transpose())
+    image = fl.row_space_basis(3, zip(*x.transpose().entries))
     pivots = fl.pivot_columns(image)
     listed = tables.vectors("image_x_lambda1")
     assert [
@@ -381,7 +381,7 @@ def test_listed_kernel_and_image_vectors_status():
     stack = fl.FpMatrix.from_rows(
         3, list(tables.s_matrix().entries) + list(tables.t_matrix().entries)
     )
-    transpose_image = fl.image_basis(stack)
+    transpose_image = fl.row_space_basis(3, zip(*stack.entries))
     tpivots = fl.pivot_columns(transpose_image)
     assert [
         not any(fl.reduce_vector(3, v, transpose_image, tpivots)) for v in listed

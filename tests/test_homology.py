@@ -4,7 +4,7 @@ import pytest
 
 from fermat_homology import fp_linalg as fl
 from fermat_homology.bsigma import bsigma_p3
-from fermat_homology.errors import NotInvariant
+from fermat_homology.errors import ArityMismatch, NotInvariant
 from fermat_homology.group_ring import GroupRingElement
 from fermat_homology.homology import (
     RelativeClass,
@@ -17,7 +17,7 @@ from fermat_homology.homology import (
     stab_basis,
 )
 from fermat_homology.reference_tables import load_tables
-from fermat_homology.scalars import Zmod
+from fermat_homology.scalars import GF27, Zmod
 
 
 def monomial_class(n, i, j):
@@ -260,7 +260,7 @@ def natural_generators(n):
     ]
 
 
-@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("n", [5, 7, 11])
 def test_batched_action_matrix_matches_one_solve_per_vector_on_h1u(n):
     basis = h1U_basis(n)
     for b in natural_generators(n):
@@ -268,15 +268,15 @@ def test_batched_action_matrix_matches_one_solve_per_vector_on_h1u(n):
 
 
 def test_batched_action_matrix_matches_one_solve_per_vector_on_h1x():
-    n = 5
-    reps = [
-        RelativeClass(GroupRingElement(n, 1, Zmod(n), tuple(v)))
-        for v in h1X_subquotient(n).coset_basis
-    ]
-    stab = stab_basis(n)
-    for b in natural_generators(n):
-        expected = action_matrix_one_solve_per_vector(b, reps, modulo=stab)
-        assert action_matrix(b, reps, modulo=stab) == expected
+    for n in (5, 11):
+        reps = [
+            RelativeClass(GroupRingElement(n, 1, Zmod(n), tuple(v)))
+            for v in h1X_subquotient(n).coset_basis
+        ]
+        stab = stab_basis(n)
+        for b in natural_generators(n):
+            expected = action_matrix_one_solve_per_vector(b, reps, modulo=stab)
+            assert action_matrix(b, reps, modulo=stab) == expected
 
 
 def test_batched_action_matrix_rejects_an_image_outside_the_span():
@@ -290,7 +290,11 @@ def non_monomial_generators(n):
     rng = random.Random(f"non-monomial/{n}")
     dense = {(i, j): rng.randrange(n) for i in range(n) for j in range(n)}
     sparse = {(0, 0): 2, (1, 0): 1, (2, 3): n - 1, (1, 1): 3}
-    return [GroupRingElement.from_dict(n, 1, c) for c in (dense, sparse)]
+    # a table with entries >= n and negative ones, stored without reduction
+    unreduced = [rng.choice([0, n, -n, n + 1, 3 * n - 2, -1]) for _ in range(n * n)]
+    return [GroupRingElement.from_dict(n, 1, c) for c in (dense, sparse)] + [
+        GroupRingElement(n, 1, Zmod(n), tuple(unreduced))
+    ]
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -323,3 +327,19 @@ def test_action_matrix_on_an_empty_basis_is_zero_by_zero():
     empty = fl.FpMatrix(5, 0, 0, ())
     assert action_matrix(b, []) == empty
     assert action_matrix(b, [], modulo=stab_basis(5)) == empty
+
+
+@pytest.mark.parametrize(
+    "b, message",
+    [
+        (GroupRingElement.monomial(5, 0, (1,)), "(n=5, m=0) vs (n=5, m=1)"),
+        (GroupRingElement.monomial(5, 2, (1, 0, 0)), "(n=5, m=2) vs (n=5, m=1)"),
+        (GroupRingElement.monomial(3, 1, (1, 0), ring=GF27), "(n=3, m=1) vs (n=3, m=1)"),
+    ],
+)
+def test_action_matrix_rejects_an_incompatible_element(b, message):
+    with pytest.raises(ArityMismatch) as info:
+        action_matrix(b, h1U_basis(b.n))
+    assert str(info.value) == f"incompatible elements: {message}"
+    # no class is acted on, so an empty basis still gives the 0 x 0 matrix
+    assert action_matrix(b, []) == fl.FpMatrix(b.n, 0, 0, ())
