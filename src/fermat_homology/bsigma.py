@@ -14,9 +14,8 @@ reported as data rather than raised, so callers can print scorecards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fp_linalg
+from ._value import frozen
 from .errors import NotAUnit, NotSymmetric, UnsupportedExponent
 from .galois_kummer import group_elements
 from .group_ring import (
@@ -108,7 +107,7 @@ def prime_field_image(a: GroupRingElement) -> GroupRingElement | None:
     return GroupRingElement(a.n, a.m, Zmod(a.ring.char), tuple(values))
 
 
-@dataclass(frozen=True)
+@frozen
 class VerificationReport:
     """Outcome of the four structural checks on a candidate B."""
 
@@ -186,7 +185,7 @@ B_MAP_RELATIONS: tuple[tuple[tuple[tuple[int, tuple[int, int]], ...], str], ...]
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class BMapReport:
     """Linear structure of the map from the group algebra into Lambda_1."""
 

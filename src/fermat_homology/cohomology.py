@@ -28,9 +28,8 @@ subquotient, so only the reported bases become dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import fp_linalg
+from ._value import frozen
 from .bsigma import bsigma_p3
 from .errors import InvalidAction
 from .fp_linalg import FpMatrix, SparseRow, SubquotientReport
@@ -39,7 +38,7 @@ from .homology import RelativeClass, action_matrix, h1U_basis, h1X_subquotient, 
 from .scalars import Zmod
 
 
-@dataclass(frozen=True)
+@frozen
 class GModule:
     """Finite Z/p-module with commuting order-p actions of two generators."""
 
@@ -47,8 +46,6 @@ class GModule:
     dim: int
     act_sigma: FpMatrix
     act_tau: FpMatrix
-    # (S, T, U, V) as sparse rows, computed once during validation
-    _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.p
@@ -66,6 +63,7 @@ class GModule:
         (s, u), (t, v) = blocks
         if fp_linalg._matmul(p, s, t) != fp_linalg._matmul(p, t, s):
             raise InvalidAction("the two actions do not commute")
+        # (S, T, U, V) as sparse rows; not a field, so outside init, eq and repr
         object.__setattr__(self, "_blocks", (s, t, u, v))
 
 
@@ -112,7 +110,7 @@ def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class CohomologyGroups:
     h0: SubquotientReport
     h1: SubquotientReport
@@ -156,7 +154,7 @@ def ideal_span(generators: list[GroupRingElement]) -> list[tuple[int, ...]]:
     return fp_linalg.row_space_basis(generators[0].n, rows)
 
 
-@dataclass(frozen=True)
+@frozen
 class BasisValidation:
     """Outcome of checking a listed basis against a computed subquotient."""
 

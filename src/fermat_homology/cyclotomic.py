@@ -9,8 +9,7 @@ certified through norms, never through division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import frozen
 from .errors import ModulusMismatch
 from .scalars import is_prime
 
@@ -22,7 +21,7 @@ def _reduce(p: int, full: list[int]) -> tuple[int, ...]:
     return tuple(full[k] - top for k in range(p - 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class CyclotomicInt:
     """Element of Z[x]/(1 + x + ... + x^{p-1}) with integer coefficients."""
 
@@ -119,7 +118,7 @@ def norm(a: CyclotomicInt) -> int:
     return total.coeffs[0]
 
 
-@dataclass(frozen=True)
+@frozen
 class IdentityReport:
     """Checks of the multiplicative identities among 1 - zeta^i."""
 

@@ -35,8 +35,8 @@ the nonzeros.  A column span is ``row_space_basis(p, zip(*M.entries))``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._value import frozen
 from .errors import ContainmentViolation, NotSquare
 from .scalars import is_prime
 
@@ -44,7 +44,7 @@ Vector = tuple[int, ...]
 SparseRow = dict[int, int]
 
 
-@dataclass(frozen=True)
+@frozen
 class FpMatrix:
     """Dense matrix over Z/p with every entry reduced into [0, p)."""
 
@@ -355,7 +355,7 @@ def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
     ]
 
 
-@dataclass(frozen=True)
+@frozen
 class SubquotientReport:
     """Kernel, image and coset-representative bases of a subquotient."""
 

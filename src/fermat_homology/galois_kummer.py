@@ -12,12 +12,12 @@ plus-part class number.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._value import frozen
 from .scalars import is_prime
 
 
-@dataclass(frozen=True)
+@frozen
 class KummerCoordinates:
     """Element of Gal(L/K) as a tuple (c_0, ..., c_{(p-1)/2}) mod p."""
 
@@ -48,7 +48,7 @@ class KummerCoordinates:
         return cls(data["p"], tuple(data["c"]))
 
 
-@dataclass(frozen=True)
+@frozen
 class PsiVector:
     """The p-1 coefficients (c_1, ..., c_{p-1}) of a class in the
     differential module modulo the constant line."""

@@ -23,9 +23,9 @@ dlog into the free module of differentials on the generators dlog e_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._value import frozen
 from .errors import ArityMismatch, NotAUnit, NotSymmetric
 from .fp_linalg import FpMatrix
 from .scalars import Zmod
@@ -54,7 +54,7 @@ def _shift(coeffs, n: int, exps) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
+@frozen
 class GroupRingElement:
     """Element of Lambda_m over Z/n (or an extension field of Z/p)."""
 
@@ -250,7 +250,7 @@ class GroupRingElement:
         return cls.from_dict(data["n"], data["m"], coeffs)
 
 
-@dataclass(frozen=True)
+@frozen
 class DifferentialElement:
     """Element of the free Lambda_m-module on dlog e_0, ..., dlog e_m."""
 

@@ -16,15 +16,14 @@ monomial combinations, so no field elimination is needed to produce them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fp_linalg
+from ._value import frozen
 from .errors import NotInvariant
 from .group_ring import GroupRingElement, _shift
 from .scalars import is_prime
 
 
-@dataclass(frozen=True)
+@frozen
 class RelativeClass:
     """Element W of Lambda_1, representing the class W * beta."""
 
@@ -45,7 +44,7 @@ class RelativeClass:
         return self.w.grid()
 
 
-@dataclass(frozen=True)
+@frozen
 class BoundaryClass:
     """Element of Lambda_0 + Lambda_0; first the x-axis points, then y."""
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
-from importlib import resources
 
+from ._value import frozen
 from .fp_linalg import FpMatrix
 from .group_ring import GroupRingElement
 from .homology import RelativeClass
@@ -93,7 +92,7 @@ def _parse_blocks(key: str, blocks) -> tuple[int, ...]:
     raise ValueError(f"unknown basis list: {key}")
 
 
-@dataclass(frozen=True)
+@frozen
 class TableFinding:
     """A printed list entry that fails its check against the computed
     complex; `index` is 0-based and `reading` is None when no reading can
@@ -181,5 +180,8 @@ class ReferenceTables:
 
 @functools.lru_cache(maxsize=1)
 def load_tables() -> ReferenceTables:
+    # Imported here: it pulls in pathlib, zipfile and tempfile at import.
+    from importlib import resources
+
     text = resources.files("fermat_homology").joinpath("data/reference_tables.json").read_text()
     return ReferenceTables(json.loads(text))

@@ -14,9 +14,8 @@ from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import fp_linalg
+from ._value import frozen
 from .bsigma import (
     b_map_analysis,
     bsigma_p3,
@@ -49,7 +48,7 @@ from .reference_tables import load_tables
 from .scalars import GF27
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     name: str
     passed: bool
