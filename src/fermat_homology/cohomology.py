@@ -24,6 +24,25 @@ S, T, U, V once, as sparse rows (see ``fp_linalg``), and uses them for its
 own checks; every differential is built from those blocks, and
 ``h_groups`` keeps its rows sparse through every kernel, image and
 subquotient, so only the reported bases become dense.
+
+``h_groups`` starts each elimination from the basis the previous step
+produced.  Write I for the RREF basis of
+im d^(k-1), K for that of ker d^k, and P(X) for the pivot columns of X.
+
+1. Kernel: I lies in K, so K = span(I) + W, where W is the left kernel of
+   the rows of d^k whose index is not in P(I); only those rows are
+   eliminated, and W's pivots cleared from the rows of I give K
+   (``fp_linalg._left_kernel``).
+2. Image: the row of K with pivot q writes row q of d^k as a combination
+   of the rows whose index is not in P(K), so im d^k is the RREF of those
+   rows alone, and they are independent.
+3. Coset: P(I) lies in P(K), and a row of K whose pivot is not in P(I) is
+   zero on P(I), so those rows are the canonical coset basis of H^k
+   (``fp_linalg._subquotient``).
+
+Step 1 takes I ⊆ K on trust, so before I seeds a kernel the rows of
+d^(k-1) it was eliminated from must map to zero under d^k; they span
+im d^(k-1), and otherwise ``ContainmentViolation`` is raised.
 """
 
 from __future__ import annotations
@@ -31,7 +50,7 @@ from __future__ import annotations
 from . import fp_linalg
 from ._value import frozen
 from .bsigma import bsigma_p3
-from .errors import InvalidAction
+from .errors import ContainmentViolation, InvalidAction
 from .fp_linalg import FpMatrix, SparseRow, SubquotientReport
 from .group_ring import GroupRingElement, multiplication_matrix
 from .homology import RelativeClass, action_matrix, h1U_basis, h1X_subquotient, stab_basis
@@ -125,16 +144,34 @@ class CohomologyGroups:
 
 def h_groups(mod: GModule) -> CohomologyGroups:
     """H^0, H^1, H^2 of the module as subquotient reports: H^k is
-    ker d^k / im d^(k-1), where im d^(-1) is empty."""
+    ker d^k / im d^(k-1), where im d^(-1) is empty.  Each kernel is seeded
+    with the previous image, and each image eliminates only the rows of
+    its differential off the kernel's pivots (see the module docstring)."""
     p, dim = mod.p, mod.dim
-    reports, image = [], []
+    reports, generators, image = [], [], []
     for k in range(3):
         d = _differential(mod, k)
-        kernel = fp_linalg._left_kernel(p, d)
+        kernel = _seeded_kernel(p, d, generators, image)
         reports.append(fp_linalg._subquotient(p, (k + 1) * dim, kernel, image))
         if k < 2:  # im d^2 would only serve H^3
-            image = fp_linalg._rref(p, d)[0]
+            pivots = {min(row) for row in kernel}
+            generators = [row for i, row in enumerate(d) if i not in pivots]
+            image = fp_linalg._rref(p, generators)[0]
     return CohomologyGroups(*reports)
+
+
+def _seeded_kernel(
+    p: int, d: list[SparseRow], generators: list[SparseRow], image: list[SparseRow]
+) -> list[SparseRow]:
+    """ker d seeded with ``image``, the RREF basis of the span of the
+    sparse rows ``generators``.
+
+    Raises ContainmentViolation unless every generator maps to zero
+    under d, which is what lets the image seed the kernel.
+    """
+    if any(fp_linalg._matmul(p, generators, d)):
+        raise ContainmentViolation("image generators do not lie in the kernel span")
+    return fp_linalg._left_kernel(p, d, image)
 
 
 def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:
@@ -191,7 +228,7 @@ def validate_basis(vectors, mod: GModule, degree: int) -> BasisValidation:
     image = fp_linalg._rref(p, incoming)[0]
     joint = fp_linalg._rref(p, image + listed)[0]
     independent = len(joint) == len(image) + len(listed)
-    expected = len(fp_linalg._left_kernel(p, outgoing)) - len(image)
+    expected = len(_seeded_kernel(p, outgoing, incoming, image)) - len(image)
     return BasisValidation(
         memberships=memberships,
         independent_mod_image=independent,

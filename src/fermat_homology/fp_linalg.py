@@ -22,13 +22,15 @@ to ``_solve``, the sparse core of ``solve_many``.
 ``solve_many`` answers a batch of right-hand sides with one elimination of
 the augmented matrix.  Kernels need one elimination too: the columns are
 scanned right to left, and the free-column vectors of that elimination
-are already the canonical (RREF) kernel basis.  Matrix powers use
-repeated squaring.  Maps written as matrices follow the row convention
-used throughout the package: row k of a matrix holds the coordinates of
-the image of the k-th basis vector, and vectors act on the left
-(v -> v @ M).  ``kernel_basis`` is plain column-convention linear
-algebra ({v : Mv = 0}); callers with row-acting maps pass the transpose,
-or their sparse rows to ``_left_kernel``, which gathers the columns from
+are already the canonical (RREF) kernel basis.  A left kernel known to
+contain a given subspace eliminates only the rows off that subspace's
+pivots (``_left_kernel``).  Matrix powers use repeated squaring.  Maps
+written as matrices follow the row convention used throughout the
+package: row k of a matrix holds the coordinates of the image of the
+k-th basis vector, and vectors act on the left (v -> v @ M).
+``kernel_basis`` is plain column-convention linear algebra
+({v : Mv = 0}); callers with row-acting maps pass the transpose, or
+their sparse rows to ``_left_kernel``, which gathers the columns from
 the nonzeros.  A column span is ``row_space_basis(p, zip(*M.entries))``.
 """
 
@@ -145,7 +147,7 @@ class FpMatrix:
 
 def _sparse(p: int, vectors) -> list[SparseRow]:
     """Sparse rows of dense vectors, each entry reduced into [0, p)."""
-    return [{j: y for j, x in enumerate(v) if (y := x % p)} for v in vectors]
+    return [{j: y for j, x in enumerate(v) if x and (y := x % p)} for v in vectors]
 
 
 def _dense(rows, n: int) -> tuple[Vector, ...]:
@@ -266,15 +268,35 @@ def _kernel(p: int, n: int, reversed_rows) -> list[SparseRow]:
     return list(vectors.values())
 
 
-def _left_kernel(p: int, rows: list[SparseRow]) -> list[SparseRow]:
+def _left_kernel(
+    p: int, rows: list[SparseRow], known: list[SparseRow] = ()
+) -> list[SparseRow]:
     """Canonical basis of {v : v @ D = 0} for the map D given by its sparse
-    rows (the row convention); its columns are gathered from the nonzeros."""
+    rows (the row convention); its columns are gathered from the nonzeros.
+
+    ``known`` is the sparse RREF basis of a subspace already known to lie
+    in the kernel, such as the image of the previous differential; empty,
+    the whole kernel is eliminated.  With P the pivot columns of ``known``,
+    the kernel is span(known) + W, where W is the left kernel of the rows
+    of D whose index is not in P: a kernel vector reduced against ``known``
+    is zero on P and so lies in W, while a nonzero vector of span(known) is
+    not zero on P.  Only those rows are eliminated.  The RREF rows of W are
+    zero on P, so clearing W's pivots from the rows of ``known`` leaves
+    them reduced at P and zero left of their pivots, and the two lists
+    merged by pivot are the canonical RREF of the kernel.
+    """
     n = len(rows)
+    seed = {min(row): row for row in known}
     columns: dict[int, SparseRow] = {}
     for i, row in enumerate(rows):
-        for j, x in row.items():
-            columns.setdefault(j, {})[n - 1 - i] = x
-    return _kernel(p, n, columns.values())
+        if i not in seed:
+            for j, x in row.items():
+                columns.setdefault(j, {})[n - 1 - i] = x
+    # the skipped rows come back as the unit vectors of P, which drop out
+    free = {min(row): row for row in _kernel(p, n, columns.values()) if min(row) not in seed}
+    basis = {col: _reduce(p, row, free) for col, row in seed.items()}
+    basis.update(free)
+    return [basis[col] for col in sorted(basis)]
 
 
 def row_space_basis(p: int, vectors) -> list[Vector]:
@@ -392,19 +414,19 @@ def _subquotient(
     p: int, ambient_dim: int, kernel: list[SparseRow], image: list[SparseRow]
 ) -> SubquotientReport:
     """Report for span(kernel) / span(image), both given as sparse RREF
-    bases, which are used as they are.
+    bases, which are used as they are; the image must lie in the kernel
+    span, which the callers check.
 
-    Raises ContainmentViolation unless the image lies inside the kernel span.
+    The coset basis is the RREF of the kernel rows reduced against the
+    image, and it needs no reduction: the leading column of an image
+    vector is that of a kernel vector, so the image's pivots are kernel
+    pivots, and a kernel row whose pivot is not an image pivot is zero on
+    every image pivot (an RREF row is zero at the other pivots).  Such a
+    row is its own residue, and those rows are as many as the dimension of
+    the residues' span, so they are its RREF basis.
     """
-    kernel_rows = {min(row): row for row in kernel}
-    if any(_reduce(p, row, kernel_rows) for row in image):
-        raise ContainmentViolation("image generators do not lie in the kernel span")
-    # with no image, the kernel basis is its own canonical coset basis
-    coset = kernel
-    if image:
-        image_rows = {min(row): row for row in image}
-        residues = [r for r in (_reduce(p, row, image_rows) for row in kernel) if r]
-        coset = _rref(p, residues)[0] if residues else []
+    image_pivots = {min(row) for row in image}
+    coset = [row for row in kernel if min(row) not in image_pivots]
     if len(coset) != len(kernel) - len(image):
         raise AssertionError("coset dimension mismatch")
     return SubquotientReport(
@@ -427,6 +449,9 @@ def subquotient(kernel_gens, image_gens, *, p: int, ambient_dim: int) -> Subquot
         raise ValueError("generator length does not match ambient_dim")
     kernel = _rref(p, _sparse(p, kernel_gens))[0]
     image = _rref(p, _sparse(p, image_gens))[0]
+    kernel_rows = {min(row): row for row in kernel}
+    if any(_reduce(p, row, kernel_rows) for row in image):
+        raise ContainmentViolation("image generators do not lie in the kernel span")
     return _subquotient(p, ambient_dim, kernel, image)
 
 

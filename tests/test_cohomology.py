@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from fermat_homology import cohomology
 from fermat_homology import fp_linalg as fl
 from fermat_homology.bsigma import bsigma_p3
 from fermat_homology.cohomology import (
@@ -21,7 +22,7 @@ from fermat_homology.cohomology import (
     validate_basis,
     wedge_module,
 )
-from fermat_homology.errors import InvalidAction
+from fermat_homology.errors import ContainmentViolation, InvalidAction
 from fermat_homology.group_ring import GroupRingElement, multiplication_matrix
 from fermat_homology.homology import action_matrix, h1U_basis
 from fermat_homology.reference_tables import ReferenceTables, load_tables
@@ -120,18 +121,29 @@ def test_order_check_at_its_boundary(p):
         GModule(p, p, singular, fl.FpMatrix.identity(p, p))
 
 
+def residue_subquotient(p, ambient_dim, kernel, image):
+    """span(kernel) / span(image) by reduction: each kernel vector is
+    reduced against the image basis, and the cosets are the RREF of the
+    nonzero residues."""
+    kernel_pivots, image_pivots = fl.pivot_columns(kernel), fl.pivot_columns(image)
+    assert not any(any(fl.reduce_vector(p, v, kernel, kernel_pivots)) for v in image)
+    residues = [fl.reduce_vector(p, v, image, image_pivots) for v in kernel]
+    cosets = fl.row_space_basis(p, [r for r in residues if any(r)])
+    return fl.SubquotientReport(ambient_dim, tuple(kernel), tuple(image), tuple(cosets))
+
+
 def reference_h_groups(mod):
     """The cohomology as a composition of the public dense functions on
-    the matrices of `build_complex`."""
+    the matrices of `build_complex`, with the cosets taken by reduction."""
     p, dim = mod.p, mod.dim
     x, y, z = build_complex(mod)
     invariants = tuple(fl.kernel_basis(x.transpose()))
     h0 = fl.SubquotientReport(dim, invariants, (), invariants)
-    h1 = fl.subquotient(
-        fl.kernel_basis(y.transpose()), fl.row_space_basis(p, x.entries), p=p, ambient_dim=2 * dim
+    h1 = residue_subquotient(
+        p, 2 * dim, fl.kernel_basis(y.transpose()), fl.row_space_basis(p, x.entries)
     )
-    h2 = fl.subquotient(
-        fl.kernel_basis(z.transpose()), fl.row_space_basis(p, y.entries), p=p, ambient_dim=3 * dim
+    h2 = residue_subquotient(
+        p, 3 * dim, fl.kernel_basis(z.transpose()), fl.row_space_basis(p, y.entries)
     )
     return CohomologyGroups(h0, h1, h2)
 
@@ -149,6 +161,48 @@ def test_h_groups_matches_the_public_functions_on_the_paper_modules():
         mod = build()
         assert h_groups(mod) == reference_h_groups(mod)
 
+
+def broken_differential(degree):
+    """``_differential`` with 1 added to column 0 of one row of d^degree,
+    a row whose index is a nonzero column of d^(degree-1), so that
+    d^(degree-1) d^degree != 0."""
+
+    def differential(mod, k):
+        d = _differential(mod, k)
+        if k == degree:
+            i = min(j for row in _differential(mod, k - 1) for j in row)
+            value = (d[i].get(0, 0) + 1) % mod.p
+            if value:
+                d[i][0] = value
+            else:
+                del d[i][0]
+        return d
+
+    return differential
+
+
+@pytest.mark.parametrize("degree", (1, 2))
+@pytest.mark.parametrize(
+    "build",
+    (
+        lambda1_module,
+        h1u_module,
+        lambda: natural_module(5, "h1u"),
+        lambda: natural_module(13, "h1u"),
+    ),
+    ids=("lambda1", "h1u", "h1u-natural-5", "h1u-natural-13"),
+)
+def test_a_broken_complex_raises_containment_violation(monkeypatch, build, degree):
+    mod = build()
+    differential = broken_differential(degree)
+    product = fl._matmul(mod.p, differential(mod, degree - 1), differential(mod, degree))
+    assert any(product)
+    monkeypatch.setattr(cohomology, "_differential", differential)
+    message = "^image generators do not lie in the kernel span$"
+    with pytest.raises(ContainmentViolation, match=message):
+        h_groups(mod)
+    with pytest.raises(ContainmentViolation, match=message):
+        validate_basis([], mod, degree)
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_norm_equals_the_sum_of_powers(p):

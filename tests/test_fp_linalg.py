@@ -109,6 +109,61 @@ def test_subquotient_coset_vectors_independent_modulo_image():
         assert len(joint) == report.image_dim + report.dim
 
 
+
+def test_subquotient_cosets_are_the_rref_of_the_residues():
+    """The public subquotient against the reduction rule: each kernel
+    vector reduced against the image, then the RREF of the residues."""
+    for p in (2, 3, 5, 7, 11, 13):
+        rng = random.Random(f"residues/{p}")
+        for _ in range(10):
+            kernel = [
+                tuple(rng.randrange(p) for _ in range(9)) for _ in range(rng.randrange(1, 7))
+            ]
+            image = []
+            for _ in range(rng.randrange(5)):
+                coeffs = [rng.randrange(p) for _ in kernel]
+                image.append(
+                    tuple(sum(c * v[j] for c, v in zip(coeffs, kernel)) % p for j in range(9))
+                )
+            report = fl.subquotient(kernel, image, p=p, ambient_dim=9)
+            pivots = fl.pivot_columns(report.image_basis)
+            residues = [fl.reduce_vector(p, v, report.image_basis, pivots) for v in kernel]
+            assert report.coset_basis == tuple(
+                fl.row_space_basis(p, [r for r in residues if any(r)])
+            )
+
+
+SEEDED_SHAPES = ((0, 0), (0, 4), (1, 1), (1, 4), (4, 1), (6, 6), (12, 7), (20, 30), (30, 12))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_left_kernel_seeded_with_part_of_the_kernel_returns_the_unseeded_basis(p):
+    """Seeded with the RREF of the zero subspace, of a random subspace or
+    of the whole left kernel, ``_left_kernel`` returns the unseeded basis."""
+    rng = random.Random(f"seeded-left-kernel/{p}")
+    for rows, cols in SEEDED_SHAPES:
+        for density in (0.0, 0.15, 0.6):
+            matrix = [
+                {j: rng.randrange(1, p) for j in range(cols) if rng.random() < density}
+                for _ in range(rows)
+            ]
+            if rows:
+                matrix[rng.randrange(rows)] = {}
+            kernel = fl._left_kernel(p, matrix)
+            assert not any(fl._matmul(p, kernel, matrix))
+            combos = []
+            for _ in range(rng.randrange(1, len(kernel)) if len(kernel) > 1 else 0):
+                combo = {}
+                for row in kernel:
+                    c = rng.randrange(p)
+                    for j, x in row.items():
+                        combo[j] = (combo.get(j, 0) + c * x) % p
+                combos.append({j: x for j, x in combo.items() if x})
+            for seed in ([], fl._rref(p, combos)[0], kernel):
+                before = [dict(row) for row in seed]
+                assert fl._left_kernel(p, matrix, seed) == kernel
+                assert seed == before
+
 def test_rank_nullity_on_random_matrices():
     rng = random.Random(7)
     for p in (2, 3, 5):
