@@ -15,15 +15,16 @@ import json
 import sys
 
 from . import cohomology as cohomology_mod
-from .bsigma import b_map_analysis, bsigma, bsigma_p3, verify_bsigma
-from .cyclotomic import verify_cyclotomic_identities
+from .bsigma import bsigma
+from .cyclotomic import MAX_P, verify_cyclotomic_identities
 from .galois_kummer import KummerCoordinates, coordinate_sum, psi_from_kummer
 from .group_ring import GroupRingElement
 from .homology import RelativeClass, h1U_basis, h1X_subquotient, stab_basis
 from .reproduction import (
+    CHECK_IDS,
+    RunInputs,
     format_results,
-    gamma_oracle_checks,
-    run_listed_bases,
+    run_checks,
     run_reproduction,
 )
 from .scalars import Zmod
@@ -54,32 +55,27 @@ def _emit_scorecard(results, as_json: bool) -> int:
 
 def _run_bsigma(args) -> int:
     if args.verify_all:
-        results = []
-        for c0 in range(3):
-            for c1 in range(3):
-                report = verify_bsigma(bsigma_p3(c0, c1))
-                results.append(((c0, c1), report))
-        closed_form, _, _ = gamma_oracle_checks()
-        oracle_ok = closed_form.passed
-        linear = b_map_analysis()
+        run = RunInputs()
+        (oracle,) = run_checks(["c03.gamma-closed-form"], run)
+        structural, linear = run.structural, run.b_map
         if args.json:
             _emit_json(
                 {
                     "structural": {
-                        f"({c0},{c1})": rep.to_json() for (c0, c1), rep in results
+                        f"({c0},{c1})": rep.to_json() for (c0, c1), rep in structural.items()
                     },
-                    "oracle_equivalence": oracle_ok,
+                    "oracle_equivalence": oracle.passed,
                     "linear_structure": linear.to_json(),
                 }
             )
         else:
-            for (c0, c1), rep in results:
+            for (c0, c1), rep in structural.items():
                 status = "PASS" if rep.all_pass else "FAIL"
                 print(f"{status}  structural facts at ({c0},{c1})")
-            print(f"{'PASS' if oracle_ok else 'FAIL'}  gamma oracle equivalence")
+            print(f"{'PASS' if oracle.passed else 'FAIL'}  gamma oracle equivalence")
             print(f"{'PASS' if linear.all_pass else 'FAIL'}  linear structure of the B-map")
-        ok = all(rep.all_pass for _, rep in results) and oracle_ok and linear.all_pass
-        return 0 if ok else 1
+        ok = all(rep.all_pass for rep in structural.values())
+        return 0 if ok and oracle.passed and linear.all_pass else 1
     element = bsigma(args.p, (args.c0, args.c1))
     if args.json:
         _emit_json(element.to_json())
@@ -106,6 +102,8 @@ def _grids_payload(classes) -> list:
 
 def _run_homology(args) -> int:
     n = args.n
+    if n > MAX_P:
+        raise ValueError(f"n={n} exceeds the configured bound {MAX_P}")
     if args.which == "relative":
         generator = RelativeClass(GroupRingElement.one(n, 1))
         payload = {
@@ -154,7 +152,8 @@ _MODULE_BUILDERS = {
 
 def _run_cohomology(args) -> int:
     if args.validate_paper:
-        return _emit_scorecard(run_listed_bases(), args.json)
+        listed = [check_id for check_id in CHECK_IDS if check_id.startswith("c08.")]
+        return _emit_scorecard(run_checks(listed), args.json)
     builder = _MODULE_BUILDERS[args.module]
     groups = cohomology_mod.h_groups(builder())
     if args.json:

@@ -151,27 +151,16 @@ def h_groups(mod: GModule) -> CohomologyGroups:
     reports, generators, image = [], [], []
     for k in range(3):
         d = _differential(mod, k)
-        kernel = _seeded_kernel(p, d, generators, image)
+        # the image seeds the kernel only if its generators map to zero
+        if any(fp_linalg._matmul(p, generators, d)):
+            raise ContainmentViolation("image generators do not lie in the kernel span")
+        kernel = fp_linalg._left_kernel(p, d, image)
         reports.append(fp_linalg._subquotient(p, (k + 1) * dim, kernel, image))
         if k < 2:  # im d^2 would only serve H^3
             pivots = {min(row) for row in kernel}
             generators = [row for i, row in enumerate(d) if i not in pivots]
             image = fp_linalg._rref(p, generators)[0]
     return CohomologyGroups(*reports)
-
-
-def _seeded_kernel(
-    p: int, d: list[SparseRow], generators: list[SparseRow], image: list[SparseRow]
-) -> list[SparseRow]:
-    """ker d seeded with ``image``, the RREF basis of the span of the
-    sparse rows ``generators``.
-
-    Raises ContainmentViolation unless every generator maps to zero
-    under d, which is what lets the image seed the kernel.
-    """
-    if any(fp_linalg._matmul(p, generators, d)):
-        raise ContainmentViolation("image generators do not lie in the kernel span")
-    return fp_linalg._left_kernel(p, d, image)
 
 
 def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:
@@ -214,26 +203,25 @@ class BasisValidation:
         }
 
 
-def validate_basis(vectors, mod: GModule, degree: int) -> BasisValidation:
-    """Check listed vectors: each in the degree's kernel, jointly independent
-    modulo the incoming image, and as many as the computed dimension."""
+def validate_basis(
+    vectors, groups: CohomologyGroups, degree: int, *, p: int
+) -> BasisValidation:
+    """Check listed vectors against H^degree of ``groups``, the cohomology
+    of a module over Z/p: each in the kernel, jointly independent modulo
+    the image, and as many as the dimension.  Nothing is eliminated again
+    but the listed vectors together with the image."""
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    p = mod.p
-    outgoing, incoming = _differential(mod, degree), _differential(mod, degree - 1)
-    if any(len(v) != len(outgoing) for v in vectors):
+    report = groups.h1 if degree == 1 else groups.h2
+    if any(len(v) != report.ambient_dim for v in vectors):
         raise ValueError("vector length does not match row count")
-    listed = fp_linalg._sparse(p, vectors)
-    memberships = tuple(not row for row in fp_linalg._matmul(p, listed, outgoing))
-    image = fp_linalg._rref(p, incoming)[0]
-    joint = fp_linalg._rref(p, image + listed)[0]
-    independent = len(joint) == len(image) + len(listed)
-    expected = len(_seeded_kernel(p, outgoing, incoming, image)) - len(image)
+    image = fp_linalg._sparse(p, report.image_basis)
+    joint = fp_linalg._rref(p, image + fp_linalg._sparse(p, vectors))[0]
     return BasisValidation(
-        memberships=memberships,
-        independent_mod_image=independent,
-        count_matches=len(vectors) == expected,
-        expected_dim=expected,
+        memberships=tuple(fp_linalg.in_span(p, report.kernel_basis, vectors)),
+        independent_mod_image=len(joint) == len(image) + len(vectors),
+        count_matches=len(vectors) == report.dim,
+        expected_dim=report.dim,
     )
 
 

@@ -313,6 +313,12 @@ def reduce_vector(p: int, v: Vector, basis: list[Vector], pivots: list[int]) -> 
     return _dense([_reduce(p, _sparse(p, [v])[0], rows)], len(v))[0]
 
 
+def in_span(p: int, basis: list[Vector], vectors) -> list[bool]:
+    """Whether each vector lies in the span of an RREF basis."""
+    rows = {min(row): row for row in _sparse(p, basis)}
+    return [not _reduce(p, row, rows) for row in _sparse(p, vectors)]
+
+
 def pivot_columns(basis: list[Vector]) -> list[int]:
     pivots = []
     for row in basis:

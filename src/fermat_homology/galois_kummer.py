@@ -25,12 +25,13 @@ class KummerCoordinates:
     c: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if len(self.c) != (self.p + 1) // 2:
+        # the count first: trial division of a huge p would not return
+        if self.p > 2 and len(self.c) != (self.p + 1) // 2:
             raise ValueError(
                 f"expected {(self.p + 1) // 2} coordinates, got {len(self.c)}"
             )
+        if not is_prime(self.p) or self.p == 2:
+            raise ValueError(f"p must be an odd prime, got {self.p}")
         object.__setattr__(self, "c", tuple(x % self.p for x in self.c))
 
     def __add__(self, other: "KummerCoordinates") -> "KummerCoordinates":

@@ -219,7 +219,7 @@ def _listed_entries_hold(tables, key, mod, degree, as_basis) -> bool:
     ok = ok and all(confirmed)
     read = tables.read_vectors(key)
     if as_basis:
-        return ok and validate_basis(read, mod, degree).all_pass
+        return ok and validate_basis(read, h_groups(mod), degree, p=mod.p).all_pass
     return ok and len(fl.row_space_basis(mod.p, read)) == len(read)
 
 

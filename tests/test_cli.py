@@ -1,8 +1,14 @@
+import collections
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from fermat_homology import reproduction
+import fermat_homology
+from fermat_homology import cohomology, reproduction
 from fermat_homology.bsigma import bsigma_p3
 from fermat_homology.cli import main
 from fermat_homology.group_ring import GroupRingElement
@@ -68,9 +74,20 @@ def test_cohomology_validation_exit_code(capsys):
     assert out.count("FAIL") == 2
 
 
+def test_the_registry_lists_every_row_once_in_scorecard_order():
+    ids = reproduction.CHECK_IDS
+    assert len(set(ids)) == len(ids) == 37
+    groups = [check_id.split(".")[0] for check_id in ids]
+    assert groups == sorted(groups)
+    assert sorted(set(groups)) == [f"c{k:02d}" for k in range(1, 12)]
+    names = [row.name for row in reproduction.run_reproduction()]
+    assert names == [check.name for check in reproduction.CHECKS]
+
+
 def test_validate_paper_prints_the_listed_rows_of_the_scorecard(capsys, monkeypatch):
     _, full = run_cli(capsys, "reproduce-paper", "--json")
-    listed = [row for row in json.loads(full) if row["name"].startswith("listed")]
+    rows = zip(reproduction.CHECK_IDS, json.loads(full), strict=True)
+    listed = [row for check_id, row in rows if check_id.startswith("c08.")]
     assert len(listed) == 6
 
     def oracle_not_expected(*args):
@@ -80,6 +97,55 @@ def test_validate_paper_prints_the_listed_rows_of_the_scorecard(capsys, monkeypa
     code, out = run_cli(capsys, "cohomology", "--validate-paper", "--json")
     assert code == 1
     assert json.loads(out) == listed
+
+
+def test_verify_all_reads_no_dlog(capsys, monkeypatch):
+    _, expected = run_cli(capsys, "bsigma", "--verify-all", "--json")
+
+    def dlog_not_expected(*args):
+        raise AssertionError("--verify-all ran dlog")
+
+    monkeypatch.setattr(reproduction, "dlog", dlog_not_expected)
+    code, out = run_cli(capsys, "bsigma", "--verify-all", "--json")
+    assert code == 0
+    assert out == expected
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Counts of GModule validations, differentials built and h_groups
+    calls made by the scorecard."""
+    counts = collections.Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    gmodule = cohomology.GModule
+    monkeypatch.setattr(gmodule, "__post_init__", counted("GModule", gmodule.__post_init__))
+    monkeypatch.setattr(
+        cohomology, "_differential", counted("_differential", cohomology._differential)
+    )
+    monkeypatch.setattr(reproduction, "h_groups", counted("h_groups", reproduction.h_groups))
+    return counts
+
+
+def test_reproduce_paper_builds_each_complex_once(build_counts):
+    reproduction.run_reproduction()
+    # lambda1, h1u, and the wedge module with the h1u it is built from
+    assert build_counts["GModule"] <= 4
+    # three differentials for each of lambda1, h1u and the wedge module
+    assert build_counts["_differential"] <= 9
+    assert build_counts["h_groups"] == 3
+
+
+def test_validate_paper_builds_two_complexes_once(capsys, build_counts):
+    code, _ = run_cli(capsys, "cohomology", "--validate-paper")
+    assert code == 1
+    assert build_counts["_differential"] <= 6
 
 
 def test_cyclotomic_verify(capsys):
@@ -122,6 +188,7 @@ def test_usage_error_exit_code(capsys):
         (["bsigma", "--p", "5"], "B reconstruction is implemented for p=3, got p=5"),
         (["psi", "--coords", "1,x"], "invalid literal for int() with base 10: 'x'"),
         (["cyclotomic", "--p", "29"], "p=29 exceeds the configured bound 23"),
+        (["homology", "--n", "24"], "n=24 exceeds the configured bound 23"),
     ],
 )
 def test_rejected_input_prints_one_line_and_exits_two(capsys, argv, message):
@@ -130,3 +197,33 @@ def test_rejected_input_prints_one_line_and_exits_two(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"fermat-homology: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["psi", "--p", "1000000000000000003", "--coords", "1,0"],
+            "expected 500000000000000002 coordinates, got 2",
+        ),
+        (
+            ["homology", "--n", "1000000000000000003", "--which", "relative"],
+            "n=1000000000000000003 exceeds the configured bound 23",
+        ),
+    ],
+    ids=("psi", "homology-relative"),
+)
+def test_a_huge_exponent_is_rejected_before_any_trial_division(argv, message):
+    """Run in a child process with a timeout: a primality test by trial
+    division of these exponents would not return."""
+    src = str(pathlib.Path(fermat_homology.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fermat_homology.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"fermat-homology: error: {message}\n"

@@ -202,7 +202,7 @@ def test_a_broken_complex_raises_containment_violation(monkeypatch, build, degre
     with pytest.raises(ContainmentViolation, match=message):
         h_groups(mod)
     with pytest.raises(ContainmentViolation, match=message):
-        validate_basis([], mod, degree)
+        validate_basis([], h_groups(mod), degree, p=mod.p)
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_norm_equals_the_sum_of_powers(p):
@@ -384,11 +384,11 @@ def test_annihilators_match_ideal_descriptions():
 
 def test_listed_bases_for_the_group_ring_validate():
     tables = load_tables()
-    mod = lambda1_module()
-    degree_one = validate_basis(tables.vectors("h1_lambda1"), mod, 1)
+    groups = h_groups(lambda1_module())
+    degree_one = validate_basis(tables.vectors("h1_lambda1"), groups, 1, p=3)
     assert degree_one.all_pass
     assert degree_one.expected_dim == 9
-    degree_two = validate_basis(tables.vectors("h2_lambda1"), mod, 2)
+    degree_two = validate_basis(tables.vectors("h2_lambda1"), groups, 2, p=3)
     assert degree_two.all_pass
     assert degree_two.expected_dim == 13
 
@@ -406,16 +406,16 @@ def test_listed_degree_one_affine_basis_status():
     that they are the recorded findings, and that the recorded
     sign-corrected readings give a valid basis."""
     tables = load_tables()
-    mod = h1u_module()
-    val = validate_basis(tables.vectors("h1_h1u"), mod, 1)
+    groups = h_groups(h1u_module())
+    val = validate_basis(tables.vectors("h1_h1u"), groups, 1, p=3)
     assert val.memberships == (True, True, True, True, False, False)
     assert [f.index for f in tables.findings("h1_h1u")] == [4, 5]
-    assert validate_basis(tables.read_vectors("h1_h1u"), mod, 1).all_pass
+    assert validate_basis(tables.read_vectors("h1_h1u"), groups, 1, p=3).all_pass
 
 
 def test_listed_degree_two_affine_basis_validates():
     tables = load_tables()
-    assert validate_basis(tables.vectors("h2_h1u"), h1u_module(), 2).all_pass
+    assert validate_basis(tables.vectors("h2_h1u"), h_groups(h1u_module()), 2, p=3).all_pass
 
 
 def test_listed_kernel_and_image_vectors_status():
