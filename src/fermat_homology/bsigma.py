@@ -71,27 +71,26 @@ def gamma_oracle_p3(c1: int, c2: int) -> list[tuple[tuple, GroupRingElement]]:
     alpha^3 - alpha + c^3 = 0, c = c_1 + c_2, and
     Gamma = d_0 + d_1 e_0 + d_2 e_0^2 where d_1 = c_1 - alpha - (c+alpha)^2,
     d_2 = -c_2 + alpha - (c+alpha)^2 and d_0 is forced by d_0+d_1+d_2 = 1.
+    The roots are taken in closed form: in GF27, t^3 = t + 1, so
+    alpha = a + b t + d t^2 has alpha^3 - alpha = b + d + 2d t, and with
+    c^3 = c in F_3 the roots are alpha = a - c t for a = 0, 1, 2.
     """
     ring = GF27
     c1f = ring.lift_int(c1)
     c2f = ring.lift_int(c2)
     cf = ring.add(c1f, c2f)
-    c_cubed = ring.mul(ring.mul(cf, cf), cf)
     results = []
-    for alpha in ring.elements():
-        cube = ring.mul(ring.mul(alpha, alpha), alpha)
-        if ring.add(ring.sub(cube, alpha), c_cubed) == ring.zero:
-            shift = ring.add(cf, alpha)
-            shift_sq = ring.mul(shift, shift)
-            d1 = ring.sub(ring.sub(c1f, alpha), shift_sq)
-            d2 = ring.sub(ring.sub(alpha, c2f), shift_sq)
-            d0 = ring.sub(ring.sub(ring.one, d1), d2)
-            gamma = GroupRingElement.from_dict(
-                3, 0, {(0,): d0, (1,): d1, (2,): d2}, ring=ring
-            )
-            results.append((alpha, gamma))
-    if len(results) != 3:
-        raise AssertionError("the cubic must split with three roots over F_27")
+    for a in range(3):
+        alpha = (a, -(c1 + c2) % 3, 0)
+        shift = ring.add(cf, alpha)
+        shift_sq = ring.mul(shift, shift)
+        d1 = ring.sub(ring.sub(c1f, alpha), shift_sq)
+        d2 = ring.sub(ring.sub(alpha, c2f), shift_sq)
+        d0 = ring.sub(ring.sub(ring.one, d1), d2)
+        gamma = GroupRingElement.from_dict(
+            3, 0, {(0,): d0, (1,): d1, (2,): d2}, ring=ring
+        )
+        results.append((alpha, gamma))
     return results
 
 

@@ -102,6 +102,8 @@ def _grids_payload(classes) -> list:
 
 def _run_homology(args) -> int:
     n = args.n
+    if n < 3:
+        raise ValueError(f"exponent must be at least 3, got {n}")
     if n > MAX_P:
         raise ValueError(f"n={n} exceeds the configured bound {MAX_P}")
     if args.which == "relative":

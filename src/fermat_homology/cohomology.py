@@ -121,7 +121,10 @@ def _differential(mod: GModule, k: int) -> list[SparseRow]:
 
 
 def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
-    """The three cochain maps M -> M^2 -> M^3 -> M^4 as row-acting matrices."""
+    """The three cochain maps M -> M^2 -> M^3 -> M^4 as row-acting matrices.
+
+    ``h_groups`` never forms them; they are the dense form of its complex,
+    which the tests use as the reference for it."""
     p, dim = mod.p, mod.dim
     return tuple(
         FpMatrix(p, (k + 1) * dim, n, fp_linalg._dense(_differential(mod, k), n))

@@ -39,10 +39,6 @@ class CyclotomicInt:
         return cls(p, (c,) + (0,) * (p - 2))
 
     @classmethod
-    def zero(cls, p: int) -> "CyclotomicInt":
-        return cls.integer(p, 0)
-
-    @classmethod
     def one(cls, p: int) -> "CyclotomicInt":
         return cls.integer(p, 1)
 
@@ -77,18 +73,6 @@ class CyclotomicInt:
                     if b:
                         full[(i + j) % p] += a * b
         return CyclotomicInt(p, _reduce(p, full))
-
-    def __pow__(self, k: int) -> "CyclotomicInt":
-        if k < 0:
-            raise ValueError("negative powers are not defined in this ring")
-        result = CyclotomicInt.one(self.p)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def is_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

@@ -112,38 +112,6 @@ class FpMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def apply_row(self, v: Vector) -> Vector:
-        """v @ M for a row vector v (the row-convention action)."""
-        if len(v) != self.rows:
-            raise ValueError("vector length does not match row count")
-        p = self.p
-        acc = [0] * self.cols
-        for k, a in enumerate(v):
-            if a % p:
-                row = self.entries[k]
-                for j in range(self.cols):
-                    acc[j] += a * row[j]
-        return tuple(x % p for x in acc)
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [list(row) for row in self.entries],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FpMatrix":
-        m = cls.from_rows(data["p"], data["entries"])
-        cols = data["cols"]
-        if not m.rows and isinstance(cols, int) and cols >= 0:
-            # an empty entry table cannot carry the column count itself
-            m = cls(m.p, 0, cols, ())
-        if (m.rows, m.cols) != (data["rows"], cols):
-            raise ValueError("entry table does not match declared shape")
-        return m
-
 
 def _sparse(p: int, vectors) -> list[SparseRow]:
     """Sparse rows of dense vectors, each entry reduced into [0, p)."""
@@ -307,26 +275,10 @@ def row_space_basis(p: int, vectors) -> list[Vector]:
     return list(_dense(_rref(p, _sparse(p, vectors))[0], len(vectors[0])))
 
 
-def reduce_vector(p: int, v: Vector, basis: list[Vector], pivots: list[int]) -> Vector:
-    """Reduce v against an RREF basis; zero iff v lies in the span."""
-    rows = dict(zip(pivots, _sparse(p, basis)))
-    return _dense([_reduce(p, _sparse(p, [v])[0], rows)], len(v))[0]
-
-
 def in_span(p: int, basis: list[Vector], vectors) -> list[bool]:
     """Whether each vector lies in the span of an RREF basis."""
     rows = {min(row): row for row in _sparse(p, basis)}
     return [not _reduce(p, row, rows) for row in _sparse(p, vectors)]
-
-
-def pivot_columns(basis: list[Vector]) -> list[int]:
-    pivots = []
-    for row in basis:
-        for j, x in enumerate(row):
-            if x:
-                pivots.append(j)
-                break
-    return pivots
 
 
 def rank(m: FpMatrix) -> int:

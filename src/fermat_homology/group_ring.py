@@ -263,26 +263,12 @@ class DifferentialElement:
         if len(self.components) != self.m + 1:
             raise ArityMismatch("one component per generator dlog e_i is required")
 
-    @classmethod
-    def zero(cls, n: int, m: int, ring=None) -> "DifferentialElement":
-        ring = ring if ring is not None else Zmod(n)
-        comp = GroupRingElement.zero(n, m, ring)
-        return cls(n, m, ring, (comp,) * (m + 1))
-
     def __add__(self, other: "DifferentialElement") -> "DifferentialElement":
         return DifferentialElement(
             self.n,
             self.m,
             self.ring,
             tuple(a + b for a, b in zip(self.components, other.components)),
-        )
-
-    def __sub__(self, other: "DifferentialElement") -> "DifferentialElement":
-        return DifferentialElement(
-            self.n,
-            self.m,
-            self.ring,
-            tuple(a - b for a, b in zip(self.components, other.components)),
         )
 
     def is_zero(self) -> bool:

@@ -66,27 +66,6 @@ def boundary_delta(rc: RelativeClass) -> BoundaryClass:
     return BoundaryClass(r, q)
 
 
-def h1U_contains(rc: RelativeClass) -> bool:
-    """W * beta lies in the homology of the affine curve exactly when every
-    row sum and every column sum of its coefficient grid vanishes."""
-    n = rc.n
-    grid = rc.grid()
-    return all(sum(row) % n == 0 for row in grid) and all(
-        sum(grid[i][j] for i in range(n)) % n == 0 for j in range(n)
-    )
-
-
-def shift_invariant(rc: RelativeClass) -> bool:
-    """Invariance under the simultaneous shift a_{i+1, j+1} = a_{ij}."""
-    n = rc.n
-    grid = rc.grid()
-    return all(
-        grid[(i + 1) % n][(j + 1) % n] == grid[i][j]
-        for i in range(n)
-        for j in range(n)
-    )
-
-
 def _corner_class(n: int, i: int, j: int) -> RelativeClass:
     """(e_0^i - e_0^{n-1})(e_1^j - e_1^{n-1})."""
     w = GroupRingElement.from_dict(

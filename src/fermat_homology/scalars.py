@@ -55,10 +55,6 @@ class Zmod:
     def is_zero(self, a: int) -> bool:
         return a % self.n == 0
 
-    def to_prime_int(self, a: int) -> int:
-        """Return the residue as an int (always defined for Z/n)."""
-        return a % self.n
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Zmod) and other.n == self.n
 
@@ -144,17 +140,6 @@ class PrimeExtensionField:
         if any(x % self.p for x in a[1:]):
             return None
         return a[0] % self.p
-
-    def elements(self):
-        """All field elements in lexicographic tuple order."""
-        k = self.degree
-        for idx in range(self.size):
-            coeffs = []
-            v = idx
-            for _ in range(k):
-                coeffs.append(v % self.p)
-                v //= self.p
-            yield tuple(coeffs)
 
     def __eq__(self, other: object) -> bool:
         return (

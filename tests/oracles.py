@@ -5,8 +5,9 @@ quantity it checks: ranks come from brute-force span enumeration, the
 cohomology cross-check comes from the standard inhomogeneous cochain
 complex of the group, built from scratch, degree-1 coboundaries come
 from products in the group ring or with S1, read straight from the raw
-reference tables, and group-ring products come from the double sum over
-pairs of group elements.
+reference tables, group-ring products come from the double sum over
+pairs of group elements, and row-vector products and reductions against
+an RREF basis are plain sums over the rows.
 """
 
 from __future__ import annotations
@@ -40,6 +41,25 @@ def closure_rank(p: int, vectors) -> int:
         r += 1
     assert p**r == size
     return r
+
+
+def row_times(v, m) -> tuple[int, ...]:
+    """v @ M for an FpMatrix M, as the plain sum of v[k] times row k."""
+    assert len(v) == m.rows, "vector length does not match row count"
+    acc = [0] * m.cols
+    for a, row in zip(v, m.entries):
+        acc = [x + a * y for x, y in zip(acc, row)]
+    return tuple(x % m.p for x in acc)
+
+
+def rref_residue(p: int, v, basis) -> tuple[int, ...]:
+    """v - sum v[q_i] b_i for an RREF basis b_i with pivot columns q_i,
+    which is zero exactly when v lies in the span."""
+    out = list(v)
+    for b in basis:
+        c = v[next(j for j, x in enumerate(b) if x)]
+        out = [x - c * y for x, y in zip(out, b)]
+    return tuple(x % p for x in out)
 
 
 def bar_cohomology_trivial(p: int) -> tuple[int, int]:

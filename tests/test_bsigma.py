@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from fermat_homology.bsigma import (
@@ -75,6 +77,22 @@ def test_gamma_oracle_root_count_and_zero_case():
     roots = gamma_oracle_p3(0, 0)
     assert len(roots) == 3
     assert sorted(GF27.to_prime_int(alpha) for alpha, _ in roots) == [0, 1, 2]
+
+
+def test_gamma_oracle_returns_every_root_of_the_cubic():
+    """The closed-form roots against a scan of all 27 elements of F_27:
+    the roots of alpha^3 - alpha + c^3, c = c_1 + c_2, in scan order."""
+    scan = [tuple(reversed(t)) for t in itertools.product(range(3), repeat=3)]
+    for c1 in range(3):
+        for c2 in range(3):
+            c = GF27.lift_int(c1 + c2)
+            c_cubed = GF27.mul(GF27.mul(c, c), c)
+            roots = [
+                a
+                for a in scan
+                if GF27.add(GF27.sub(GF27.mul(GF27.mul(a, a), a), a), c_cubed) == GF27.zero
+            ]
+            assert [alpha for alpha, _ in gamma_oracle_p3(c1, c2)] == roots
 
 
 def test_gamma_oracle_matches_closed_form_everywhere():

@@ -189,6 +189,8 @@ def test_usage_error_exit_code(capsys):
         (["psi", "--coords", "1,x"], "invalid literal for int() with base 10: 'x'"),
         (["cyclotomic", "--p", "29"], "p=29 exceeds the configured bound 23"),
         (["homology", "--n", "24"], "n=24 exceeds the configured bound 23"),
+        (["homology", "--n", "2", "--which", "relative"], "exponent must be at least 3, got 2"),
+        (["homology", "--n", "-3", "--which", "relative"], "exponent must be at least 3, got -3"),
     ],
 )
 def test_rejected_input_prints_one_line_and_exits_two(capsys, argv, message):

@@ -15,7 +15,11 @@ from oracles import float_norm
 def test_zeta_times_its_inverse_power():
     for p in (3, 5, 7):
         z = CyclotomicInt.zeta(p)
-        assert z * z ** (p - 1) == CyclotomicInt.one(p)
+        assert z * CyclotomicInt.zeta(p, p - 1) == CyclotomicInt.one(p)
+        power = CyclotomicInt.one(p)
+        for k in range(1, p + 1):
+            power = power * z
+            assert power == CyclotomicInt.zeta(p, k)
 
 
 def test_product_of_two_factors_at_p3():
@@ -28,7 +32,7 @@ def test_norm_values():
     for p in (3, 5, 7, 11, 13):
         assert norm(CyclotomicInt.one(p) - CyclotomicInt.zeta(p)) == p
         assert norm(CyclotomicInt.zeta(p)) == 1
-    assert norm(CyclotomicInt.zero(5)) == 0
+    assert norm(CyclotomicInt.integer(5, 0)) == 0
 
 
 def test_norm_of_unit_times_generator():

@@ -6,7 +6,7 @@ from fermat_homology import fp_linalg as fl
 from fermat_homology.cohomology import build_complex, lambda1_module
 from fermat_homology.errors import ContainmentViolation, NotSquare
 from fermat_homology.reference_tables import load_tables
-from oracles import closure_rank
+from oracles import closure_rank, rref_residue
 
 
 def random_matrix(rng, p, rows, cols):
@@ -126,8 +126,7 @@ def test_subquotient_cosets_are_the_rref_of_the_residues():
                     tuple(sum(c * v[j] for c, v in zip(coeffs, kernel)) % p for j in range(9))
                 )
             report = fl.subquotient(kernel, image, p=p, ambient_dim=9)
-            pivots = fl.pivot_columns(report.image_basis)
-            residues = [fl.reduce_vector(p, v, report.image_basis, pivots) for v in kernel]
+            residues = [rref_residue(p, v, report.image_basis) for v in kernel]
             assert report.coset_basis == tuple(
                 fl.row_space_basis(p, [r for r in residues if any(r)])
             )
@@ -243,11 +242,6 @@ def test_results_are_deterministic():
     )
 
 
-def test_matrix_json_round_trip():
-    s = load_tables().s_matrix()
-    assert fl.FpMatrix.from_json(s.to_json()) == s
-
-
 def test_transpose_keeps_empty_shapes():
     no_rows = fl.FpMatrix(5, 0, 4, ())
     no_cols = fl.FpMatrix.from_rows(5, [[] for _ in range(4)])
@@ -278,11 +272,6 @@ def test_zero_row_matrices_keep_their_column_count():
     assert fl.FpMatrix.zeros(3, 2, 3) == fl.FpMatrix.from_rows(3, [[0] * 3] * 2)
     with pytest.raises(ValueError):
         fl.FpMatrix.zeros(4, 1, 1)
-    no_cols = fl.FpMatrix.from_rows(5, [[] for _ in range(4)])
-    for m in (empty, no_cols, no_cols.transpose()):
-        assert fl.FpMatrix.from_json(m.to_json()) == m
-    with pytest.raises(ValueError):
-        fl.FpMatrix.from_json({"p": 3, "rows": 0, "cols": -1, "entries": []})
 
 
 def test_solve_many_on_a_matrix_without_rows():
