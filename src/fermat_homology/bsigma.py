@@ -18,12 +18,7 @@ from . import fp_linalg
 from ._value import frozen
 from .errors import NotAUnit, NotSymmetric, UnsupportedExponent
 from .galois_kummer import group_elements
-from .group_ring import (
-    GroupRingElement,
-    d_prime_prime,
-    multiplication_matrix,
-    swap_w,
-)
+from .group_ring import GroupRingElement, d_prime_prime, ideal_span, swap_w
 from .scalars import GF27, Zmod
 
 
@@ -140,9 +135,7 @@ def in_augmentation_ideal(x: GroupRingElement) -> bool:
     one = GroupRingElement.one(n, 1)
     e0 = GroupRingElement.monomial(n, 1, (1, 0))
     e1 = GroupRingElement.monomial(n, 1, (0, 1))
-    generator = (one - e0) * (one - e1)
-    matrix = multiplication_matrix(generator)
-    return fp_linalg.solve_many(matrix.transpose(), [x.coeffs])[0] is not None
+    return fp_linalg.in_span(n, ideal_span([(one - e0) * (one - e1)]), [x.coeffs])[0]
 
 
 def verify_bsigma(b: GroupRingElement) -> VerificationReport:

@@ -47,6 +47,8 @@ im d^(k-1), and otherwise ``ContainmentViolation`` is raised.
 
 from __future__ import annotations
 
+import functools
+
 from . import fp_linalg
 from ._value import frozen
 from .bsigma import bsigma_p3
@@ -54,7 +56,7 @@ from .errors import ContainmentViolation, InvalidAction
 from .fp_linalg import FpMatrix, SparseRow, SubquotientReport
 from .group_ring import GroupRingElement, multiplication_matrix
 from .homology import RelativeClass, action_matrix, h1U_basis, h1X_subquotient, stab_basis
-from .scalars import Zmod
+from .scalars import Zmod, _power
 
 
 @frozen
@@ -68,19 +70,21 @@ class GModule:
 
     def __post_init__(self):
         p = self.p
+        matmul = functools.partial(fp_linalg._matmul, p)
+        identity = [{i: 1} for i in range(self.dim)]
         blocks = []
         for name, act in (("sigma", self.act_sigma), ("tau", self.act_tau)):
             if act.p != p or act.rows != self.dim or act.cols != self.dim:
                 raise InvalidAction(f"{name} action has the wrong shape or modulus")
             s = _one_minus(act)
-            norm = fp_linalg._power(p, s, p - 1)
-            if any(fp_linalg._matmul(p, norm, s)):
+            norm = _power(s, p - 1, matmul, identity)
+            if any(matmul(norm, s)):
                 if fp_linalg.rank(act) != self.dim:
                     raise InvalidAction(f"{name} action is not invertible")
                 raise InvalidAction(f"{name} action does not have order dividing p")
             blocks.append((s, norm))
         (s, u), (t, v) = blocks
-        if fp_linalg._matmul(p, s, t) != fp_linalg._matmul(p, t, s):
+        if matmul(s, t) != matmul(t, s):
             raise InvalidAction("the two actions do not commute")
         # (S, T, U, V) as sparse rows; not a field, so outside init, eq and repr
         object.__setattr__(self, "_blocks", (s, t, u, v))
@@ -166,23 +170,6 @@ def h_groups(mod: GModule) -> CohomologyGroups:
     return CohomologyGroups(*reports)
 
 
-def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:
-    """Basis of {x : h*x = 0} inside the group ring, for prime n."""
-    matrix = multiplication_matrix(h)
-    rows = fp_linalg._sparse(matrix.p, matrix.entries)
-    return list(fp_linalg._dense(fp_linalg._left_kernel(matrix.p, rows), matrix.rows))
-
-
-def ideal_span(generators: list[GroupRingElement]) -> list[tuple[int, ...]]:
-    """Canonical basis of the ideal generated by the given elements."""
-    if not generators:
-        return []
-    rows = []
-    for g in generators:
-        rows.extend(multiplication_matrix(g).entries)
-    return fp_linalg.row_space_basis(generators[0].n, rows)
-
-
 @frozen
 class BasisValidation:
     """Outcome of checking a listed basis against a computed subquotient."""
@@ -195,15 +182,6 @@ class BasisValidation:
     @property
     def all_pass(self) -> bool:
         return all(self.memberships) and self.independent_mod_image and self.count_matches
-
-    def to_json(self) -> dict:
-        return {
-            "memberships": list(self.memberships),
-            "independent_mod_image": self.independent_mod_image,
-            "count_matches": self.count_matches,
-            "expected_dim": self.expected_dim,
-            "all_pass": self.all_pass,
-        }
 
 
 def validate_basis(

@@ -77,9 +77,6 @@ class CyclotomicInt:
     def is_integer(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "coeffs": list(self.coeffs)}
-
 
 def conjugate(a: CyclotomicInt, i: int) -> CyclotomicInt:
     """The automorphism zeta -> zeta^i applied to a; i must be prime to p."""
@@ -153,21 +150,16 @@ def verify_cyclotomic_identities(p: int) -> IdentityReport:
     one = CyclotomicInt.one(p)
     p_elt = CyclotomicInt.integer(p, p)
 
-    factors = [one - CyclotomicInt.zeta(p, i) for i in range(1, p)]
-    product = one
-    for f in factors:
-        product = product * f
-    product_ok = product == p_elt
-
     reflections = []
-    lhs_prod, rhs_prod = one, one
+    product, rhs_prod = one, one
     for i in range(1, p):
         lhs = one - CyclotomicInt.zeta(p, i)
         rhs = -(CyclotomicInt.zeta(p, i) * (one - CyclotomicInt.zeta(p, -i)))
         reflections.append(lhs == rhs)
-        lhs_prod = lhs_prod * lhs
+        product = product * lhs
         rhs_prod = rhs_prod * rhs
-    reflection_consistent = lhs_prod == rhs_prod
+    product_ok = product == p_elt
+    reflection_consistent = product == rhs_prod
 
     half = (p - 1) // 2
     b = one

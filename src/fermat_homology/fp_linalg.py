@@ -20,18 +20,17 @@ sparse from the action matrices to the bases it reports, and
 to ``_solve``, the sparse core of ``solve_many``.
 
 ``solve_many`` answers a batch of right-hand sides with one elimination of
-the augmented matrix.  Kernels need one elimination too: the columns are
-scanned right to left, and the free-column vectors of that elimination
-are already the canonical (RREF) kernel basis.  A left kernel known to
-contain a given subspace eliminates only the rows off that subspace's
-pivots (``_left_kernel``).  Matrix powers use repeated squaring.  Maps
-written as matrices follow the row convention used throughout the
-package: row k of a matrix holds the coordinates of the image of the
-k-th basis vector, and vectors act on the left (v -> v @ M).
-``kernel_basis`` is plain column-convention linear algebra
-({v : Mv = 0}); callers with row-acting maps pass the transpose, or
-their sparse rows to ``_left_kernel``, which gathers the columns from
-the nonzeros.  A column span is ``row_space_basis(p, zip(*M.entries))``.
+the augmented matrix.  Kernels need one elimination too, in one routine,
+``_left_kernel``: the columns of a row-acting map are gathered from its
+nonzeros and scanned right to left, and the free-row vectors of that
+elimination are already the canonical (RREF) kernel basis; a left kernel
+known to contain a given subspace eliminates only the rows off that
+subspace's pivots.  Maps written as matrices follow the row convention
+used throughout the package: row k of a matrix holds the coordinates of
+the image of the k-th basis vector, and vectors act on the left
+(v -> v @ M).  ``kernel_basis`` is plain column-convention linear algebra
+({v : Mv = 0}), the left kernel of the transpose.  A column span is
+``row_space_basis(p, zip(*M.entries))``.
 """
 
 from __future__ import annotations
@@ -201,46 +200,19 @@ def _matmul(p: int, a: list[SparseRow], b: list[SparseRow]) -> list[SparseRow]:
     return out
 
 
-def _power(p: int, rows: list[SparseRow], k: int) -> list[SparseRow]:
-    """M^k for a square M given as sparse rows and k >= 0, by repeated squaring."""
-    result = None
-    square = rows
-    while True:
-        if k & 1:
-            result = square if result is None else _matmul(p, result, square)
-        k >>= 1
-        if not k:
-            break
-        square = _matmul(p, square, square)
-    return [{i: 1} for i in range(len(rows))] if result is None else result
-
-
-def _kernel(p: int, n: int, reversed_rows) -> list[SparseRow]:
-    """Canonical basis of {v in F_p^n : r . v = 0 for every row r}.
-
-    Each row comes with its columns reversed (entry j stored at n - 1 - j),
-    so the elimination chooses pivots from the right.  Each reduced row is
-    then nonzero only at its pivot and at free columns left of it, so the
-    vector of free column f, e_f - sum_i r_i[f] e_{pivot_i}, has its leading
-    1 at f and vanishes at every other free column.  Listed by increasing
-    f, these vectors are already the RREF basis of the kernel.
-    """
-    reduced, pivots = _rref(p, reversed_rows)
-    vectors = {f: {n - 1 - f: 1} for f in range(n - 1, -1, -1)}
-    for col in pivots:
-        del vectors[col]
-    for row, col in zip(reduced, pivots):
-        for f, x in row.items():
-            if f != col:
-                vectors[f][n - 1 - col] = p - x
-    return list(vectors.values())
-
-
 def _left_kernel(
     p: int, rows: list[SparseRow], known: list[SparseRow] = ()
 ) -> list[SparseRow]:
     """Canonical basis of {v : v @ D = 0} for the map D given by its sparse
-    rows (the row convention); its columns are gathered from the nonzeros.
+    rows (the row convention), from one elimination of its columns.
+
+    Each column is gathered from the nonzeros with its entries reversed
+    (row i stored at n - 1 - i), so the elimination chooses pivots from the
+    right.  Each reduced column is then nonzero only at its pivot row and
+    at free rows before it, so the vector of free row i,
+    e_i - sum_c r_c[i] e_(pivot row of c), has its leading 1 at i and
+    vanishes at every other free row.  Listed by increasing i, these
+    vectors are already the RREF basis of the kernel.
 
     ``known`` is the sparse RREF basis of a subspace already known to lie
     in the kernel, such as the image of the previous differential; empty,
@@ -260,8 +232,14 @@ def _left_kernel(
         if i not in seed:
             for j, x in row.items():
                 columns.setdefault(j, {})[n - 1 - i] = x
-    # the skipped rows come back as the unit vectors of P, which drop out
-    free = {min(row): row for row in _kernel(p, n, columns.values()) if min(row) not in seed}
+    reduced, pivots = _rref(p, columns.values())
+    pivot_rows = {n - 1 - col for col in pivots}
+    # the skipped rows would come back as the unit vectors of P
+    free = {i: {i: 1} for i in range(n) if i not in pivot_rows and i not in seed}
+    for column, col in zip(reduced, pivots):
+        for f, x in column.items():
+            if f != col:
+                free[n - 1 - f][n - 1 - col] = p - x
     basis = {col: _reduce(p, row, free) for col, row in seed.items()}
     basis.update(free)
     return [basis[col] for col in sorted(basis)]
@@ -286,11 +264,10 @@ def rank(m: FpMatrix) -> int:
 
 
 def kernel_basis(m: FpMatrix) -> list[Vector]:
-    """Canonical basis of {v : M v = 0} (column convention), from one
-    elimination of M with its columns reversed (see ``_kernel``)."""
-    n = m.cols
-    rows = [{n - 1 - j: x for j, x in enumerate(row) if x} for row in m.entries]
-    return list(_dense(_kernel(m.p, n, rows), n))
+    """Canonical basis of {v : M v = 0} (column convention): the left
+    kernel of the transpose, from one elimination of M (see ``_left_kernel``)."""
+    rows = _sparse(m.p, m.transpose().entries)
+    return list(_dense(_left_kernel(m.p, rows), m.cols))
 
 
 def _solve(p: int, cols: int, rows, k: int) -> list[SparseRow | None]:
@@ -314,7 +291,9 @@ def _solve(p: int, cols: int, rows, k: int) -> list[SparseRow | None]:
 
 def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
     """For each b in ``bs``, one solution x of M x = b, or None when that
-    system is inconsistent.
+    system is inconsistent.  Nothing in the package calls it; it is the
+    dense form of ``_solve``, which the tests use as the reference for
+    ``homology.action_matrix``.
 
     One elimination of [M | b_1 ... b_k] serves every right-hand side.  Free
     coordinates are set to zero, which makes the answers deterministic.  A

@@ -23,12 +23,13 @@ dlog into the free module of differentials on the generators dlog e_i.
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 from ._value import frozen
 from .errors import ArityMismatch, NotAUnit, NotSymmetric
-from .fp_linalg import FpMatrix
-from .scalars import Zmod
+from .fp_linalg import FpMatrix, kernel_basis, row_space_basis
+from .scalars import Zmod, _power
 
 
 def _pack(n: int, exps: tuple[int, ...]) -> int:
@@ -67,8 +68,7 @@ class GroupRingElement:
 
     @classmethod
     def zero(cls, n: int, m: int, ring=None) -> "GroupRingElement":
-        ring = ring if ring is not None else Zmod(n)
-        return cls(n, m, ring, (ring.zero,) * (n ** (m + 1)))
+        return cls.from_dict(n, m, {}, ring=ring)
 
     @classmethod
     def one(cls, n: int, m: int, ring=None) -> "GroupRingElement":
@@ -76,13 +76,7 @@ class GroupRingElement:
 
     @classmethod
     def monomial(cls, n, m, exps, coeff=1, ring=None) -> "GroupRingElement":
-        ring = ring if ring is not None else Zmod(n)
-        if len(exps) != m + 1:
-            raise ArityMismatch(f"expected {m + 1} exponents, got {len(exps)}")
-        c = ring.lift_int(coeff) if isinstance(coeff, int) else coeff
-        table = [ring.zero] * (n ** (m + 1))
-        table[_pack(n, tuple(exps))] = c
-        return cls(n, m, ring, tuple(table))
+        return cls.from_dict(n, m, {tuple(exps): coeff}, ring=ring)
 
     @classmethod
     def from_dict(cls, n, m, coeffs, ring=None) -> "GroupRingElement":
@@ -187,15 +181,7 @@ class GroupRingElement:
     def __pow__(self, k: int) -> "GroupRingElement":
         if k < 0:
             raise ValueError("negative powers go through invert()")
-        result = GroupRingElement.one(self.n, self.m, self.ring)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, operator.mul, GroupRingElement.one(self.n, self.m, self.ring))
 
     # -- structural maps ----------------------------------------------
 
@@ -298,16 +284,6 @@ def swap_w(a: GroupRingElement) -> GroupRingElement:
     return GroupRingElement(n, 1, a.ring, tuple(out))
 
 
-def _scalar_power(ring, c, k: int):
-    result = ring.one
-    while k:
-        if k & 1:
-            result = ring.mul(result, c)
-        c = ring.mul(c, c)
-        k >>= 1
-    return result
-
-
 def invert(u: GroupRingElement) -> GroupRingElement:
     """Multiplicative inverse; raises NotAUnit when none exists.
 
@@ -322,7 +298,7 @@ def invert(u: GroupRingElement) -> GroupRingElement:
         eps = augmentation(u)
         if ring.is_zero(eps):
             raise NotAUnit("element is not invertible")
-        return (u ** (n - 1)).scale(_scalar_power(ring, eps, n * (ring.size - 2)))
+        return (u ** (n - 1)).scale(_power(eps, n * (ring.size - 2), ring.mul, ring.one))
     one = GroupRingElement.one(n, u.m, ring)
     seen = set()
     prev, cur = one, u
@@ -375,3 +351,19 @@ def multiplication_matrix(a: GroupRingElement) -> FpMatrix:
         raise ValueError("multiplication matrices require prime-field coefficients")
     rows = [_shift(a.coeffs, a.n, exps) for exps in product(range(a.n), repeat=a.m + 1)]
     return FpMatrix.from_rows(a.n, rows)
+
+
+def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:
+    """Basis of {x : h*x = 0} inside the group ring, for prime n: the left
+    kernel of the multiplication matrix."""
+    return kernel_basis(multiplication_matrix(h).transpose())
+
+
+def ideal_span(generators: list[GroupRingElement]) -> list[tuple[int, ...]]:
+    """Canonical basis of the ideal generated by the given elements."""
+    if not generators:
+        return []
+    rows = []
+    for g in generators:
+        rows.extend(multiplication_matrix(g).entries)
+    return row_space_basis(generators[0].n, rows)

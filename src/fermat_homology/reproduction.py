@@ -42,10 +42,8 @@ from .bsigma import (
 from .cohomology import (
     CohomologyGroups,
     GModule,
-    annihilator,
     h1u_module,
     h_groups,
-    ideal_span,
     lambda1_module,
     validate_basis,
     wedge_module,
@@ -53,7 +51,14 @@ from .cohomology import (
 from .cyclotomic import verify_cyclotomic_identities
 from .fp_linalg import FpMatrix
 from .galois_kummer import KummerCoordinates, psi_from_kummer
-from .group_ring import GroupRingElement, augmentation, d_prime, dlog
+from .group_ring import (
+    GroupRingElement,
+    annihilator,
+    augmentation,
+    d_prime,
+    dlog,
+    ideal_span,
+)
 from .homology import (
     RelativeClass,
     boundary_delta,

@@ -21,6 +21,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _power(x, k: int, mul, one):
+    """x^k for k >= 0 by repeated squaring under ``mul``, starting from
+    ``one`` so that even x^1 is a product (and comes back normalized)."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return result
+
+
 class Zmod:
     """The ring Z/n acting on plain integers."""
 
@@ -86,18 +99,6 @@ class PrimeExtensionField:
         self.is_field = True
         self.char = p
         self.size = p ** self.degree
-        # t^d for d = degree .. 2*degree-2, reduced below the modulus degree.
-        self._reductions: list[tuple[int, ...]] = []
-        top = tuple((-c) % p for c in self.modulus[:-1])
-        self._reductions.append(top)
-        for _ in range(self.degree - 2):
-            prev = self._reductions[-1]
-            shifted = [0] + list(prev[:-1])
-            if prev[-1]:
-                shifted = [
-                    (shifted[i] + prev[-1] * top[i]) % p for i in range(self.degree)
-                ]
-            self._reductions.append(tuple(shifted))
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -109,21 +110,20 @@ class PrimeExtensionField:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        k = self.degree
+        k, p, modulus = self.degree, self.p, self.modulus
         prod = [0] * (2 * k - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        out = [c % self.p for c in prod[:k]]
-        for d in range(k, 2 * k - 1):
-            c = prod[d] % self.p
+        # c t^d = c t^(d-k) (t^k - f) modulo the modulus f, from the top down
+        for d in range(2 * k - 2, k - 1, -1):
+            c = prod[d] % p
             if c:
-                red = self._reductions[d - k]
                 for i in range(k):
-                    out[i] = (out[i] + c * red[i]) % self.p
-        return tuple(out)
+                    prod[d - k + i] -= c * modulus[i]
+        return tuple(c % p for c in prod[:k])
 
     def scale_int(self, k: int, a):
         k %= self.p

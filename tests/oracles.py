@@ -6,8 +6,9 @@ cohomology cross-check comes from the standard inhomogeneous cochain
 complex of the group, built from scratch, degree-1 coboundaries come
 from products in the group ring or with S1, read straight from the raw
 reference tables, group-ring products come from the double sum over
-pairs of group elements, and row-vector products and reductions against
-an RREF basis are plain sums over the rows.
+pairs of group elements, products in F_p[t]/(f) come from long division
+by f, and row-vector products and reductions against an RREF basis are
+plain sums over the rows.
 """
 
 from __future__ import annotations
@@ -107,6 +108,24 @@ def convolution(n: int, ring, x: dict, y: dict) -> dict:
             key = tuple((s + t) % n for s, t in zip(a, b))
             out[key] = ring.add(out.get(key, ring.zero), ring.mul(c, d))
     return out
+
+
+def long_division_product(p: int, modulus, a, b) -> tuple[int, ...]:
+    """a * b in F_p[t]/(modulus), for a monic modulus listed from the
+    constant term up: the schoolbook product, then long division by the
+    modulus, one leading term at a time."""
+    assert modulus[-1] % p == 1, "the modulus must be monic"
+    k = len(modulus) - 1
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] = (product[i + j] + x * y) % p
+    while len(product) > k:
+        lead = product.pop()
+        shift = len(product) - k
+        for i, c in enumerate(modulus[:-1]):
+            product[shift + i] = (product[shift + i] - lead * c) % p
+    return tuple(product + [0] * (k - len(product)))
 
 
 def float_norm(p: int, coeffs) -> complex:

@@ -22,11 +22,9 @@ from fermat_homology.bsigma import (
     verify_bsigma,
 )
 from fermat_homology.cohomology import (
-    annihilator,
     build_complex,
     h1u_module,
     h_groups,
-    ideal_span,
     lambda1_module,
     validate_basis,
     wedge_module,
@@ -40,10 +38,12 @@ from fermat_homology.galois_kummer import (
 )
 from fermat_homology.group_ring import (
     GroupRingElement,
+    annihilator,
     augmentation,
     d_prime,
     d_prime_prime,
     dlog,
+    ideal_span,
 )
 from fermat_homology.homology import (
     RelativeClass,

@@ -11,19 +11,22 @@ from fermat_homology.cohomology import (
     CohomologyGroups,
     GModule,
     _differential,
-    annihilator,
     build_complex,
     h1u_module,
     h1x_module,
     h_groups,
-    ideal_span,
     lambda1_module,
     trivial_module,
     validate_basis,
     wedge_module,
 )
 from fermat_homology.errors import ContainmentViolation, InvalidAction
-from fermat_homology.group_ring import GroupRingElement, multiplication_matrix
+from fermat_homology.group_ring import (
+    GroupRingElement,
+    annihilator,
+    ideal_span,
+    multiplication_matrix,
+)
 from fermat_homology.homology import action_matrix, h1U_basis
 from fermat_homology.reference_tables import ReferenceTables, load_tables
 from oracles import (

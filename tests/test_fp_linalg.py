@@ -23,6 +23,15 @@ def test_kernel_of_zero_matrix_is_standard_basis():
     ]
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_kernel_of_a_matrix_without_rows_is_every_unit_vector(p):
+    for cols in (0, 1, 4):
+        assert fl.kernel_basis(fl.FpMatrix.zeros(p, 0, cols)) == [
+            tuple(int(i == j) for j in range(cols)) for i in range(cols)
+        ]
+    assert fl.kernel_basis(fl.FpMatrix.from_rows(p, [[]] * 3)) == []
+
+
 def test_kernel_dimension_of_listed_s_matrix():
     s = load_tables().s_matrix()
     # independent oracle: rank by brute-force span enumeration
@@ -162,6 +171,29 @@ def test_left_kernel_seeded_with_part_of_the_kernel_returns_the_unseeded_basis(p
                 before = [dict(row) for row in seed]
                 assert fl._left_kernel(p, matrix, seed) == kernel
                 assert seed == before
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_in_span_matches_the_rref_residue_oracle(p):
+    rng = random.Random(f"in-span/{p}")
+    width, outside = 6, 0
+    for count in range(5):  # count 0 is the empty basis
+        gens = [[rng.randrange(p) for _ in range(width)] for _ in range(count)]
+        basis = fl.row_space_basis(p, gens)
+        combinations = []
+        for _ in range(5):
+            cs = [rng.randrange(p) for _ in gens]
+            combinations.append(
+                tuple(sum(c * g[j] for c, g in zip(cs, gens)) for j in range(width))
+            )
+        randoms = [tuple(rng.randrange(-p, 2 * p) for _ in range(width)) for _ in range(5)]
+        vectors = combinations + randoms + [(0,) * width]
+        expected = [not any(rref_residue(p, v, basis)) for v in vectors]
+        assert expected[:5] == [True] * 5 and expected[-1]
+        assert fl.in_span(p, basis, vectors) == expected
+        outside += expected.count(False)
+    assert outside
+
 
 def test_rank_nullity_on_random_matrices():
     rng = random.Random(7)

@@ -291,6 +291,18 @@ def test_powers_match_repeated_oracle_products():
         expected = oracle_product(5, 2, ring, expected, u.coeffs)
 
 
+@pytest.mark.parametrize("ring", (Zmod(5), GF27), ids=repr)
+def test_powers_of_unreduced_tables_match_repeated_oracle_products(ring):
+    n = 3 if ring == GF27 else ring.n
+    table = unreduced_table(random.Random(f"unreduced-powers/{ring!r}"), ring, n * n)
+    u = GroupRingElement(n, 1, ring, table)
+    expected = GroupRingElement.one(n, 1, ring).coeffs
+    for k in range(5):
+        # every power is a product from the one, so even u ** 1 comes back reduced
+        assert (u**k).coeffs == expected
+        expected = oracle_product(n, 2, ring, expected, table)
+
+
 @pytest.mark.parametrize("n,arity", [(3, 1), (3, 2), (5, 2), (7, 2), (3, 3)])
 def test_multiplication_matrix_rows_are_monomial_products(n, arity):
     rng = random.Random(f"rows/{n}/{arity}")
@@ -316,6 +328,22 @@ def test_invert_rejects_exactly_the_augmentation_ideal():
                 invert(u)
         else:
             assert oracle_product(3, 1, ring, table, invert(u).coeffs) == one
+
+
+def test_invert_over_z2_where_the_scalar_exponent_is_zero():
+    # q = n = 2 makes eps(u)^(q-2) an empty power: the scale is the one
+    ring = Zmod(2)
+    tables = list(itertools.product(range(2), repeat=4))
+    one = GroupRingElement.one(2, 1).coeffs
+    for table in tables:
+        u = GroupRingElement(2, 1, ring, table)
+        inverses = [v for v in tables if oracle_product(2, 2, ring, table, v) == one]
+        if sum(table) % 2 == 0:
+            assert inverses == []
+            with pytest.raises(NotAUnit):
+                invert(u)
+        else:
+            assert [invert(u).coeffs] == inverses
 
 
 @pytest.mark.parametrize("n", (5, 7))
