@@ -18,7 +18,8 @@ from . import fp_linalg
 from ._value import frozen
 from .errors import NotAUnit, NotSymmetric, UnsupportedExponent
 from .galois_kummer import group_elements
-from .group_ring import GroupRingElement, d_prime_prime, ideal_span, swap_w
+from .group_ring import GroupRingElement, d_prime_prime, swap_w
+from .homology import RelativeClass, boundary_delta
 from .scalars import GF27, Zmod
 
 
@@ -130,28 +131,27 @@ class VerificationReport:
 
 
 def in_augmentation_ideal(x: GroupRingElement) -> bool:
-    """Membership of x in (1 - e_0)(1 - e_1) Lambda_1, for prime n."""
-    n = x.n
-    one = GroupRingElement.one(n, 1)
-    e0 = GroupRingElement.monomial(n, 1, (1, 0))
-    e1 = GroupRingElement.monomial(n, 1, (0, 1))
-    return fp_linalg.in_span(n, ideal_span([(one - e0) * (one - e1)]), [x.coeffs])[0]
+    """Membership of x in (1 - e_0)(1 - e_1) Lambda_1 over Z/n, n >= 2.
+
+    That ideal is ker(delta), the elements whose row and column sums all
+    vanish: the augmentation ideal of Z/n[e] is (1 - e) Z/n[e], a direct
+    summand, so ker(e_0 -> 1) and ker(e_1 -> 1) meet in its tensor square.
+    """
+    return boundary_delta(RelativeClass(x)).is_zero()
 
 
 def verify_bsigma(b: GroupRingElement) -> VerificationReport:
     """Run the structural facts on an element of Lambda_1 over Z/n, n prime."""
-    n = b.n
-    grid = b.grid()
-    symmetric = b == swap_w(b)
-    sums_ok = all(sum(grid[i]) % n == 0 for i in range(1, n)) and all(
-        sum(grid[i][j] for i in range(n)) % n == 0 for j in range(1, n)
-    )
-    aug_ok = in_augmentation_ideal(b - GroupRingElement.one(n, 1))
+    x = b - GroupRingElement.one(b.n, 1)
+    # B and B - 1 differ only at 1, so entries 1..n-1 of the boundary of
+    # B - 1 are the sums of B's rows and columns 1..n-1
+    delta = boundary_delta(RelativeClass(x))
+    sums_ok = not any(delta.r.coeffs[1:] + delta.q.coeffs[1:])
     try:
-        d_second_ok = d_prime_prime(b) == GroupRingElement.one(n, 2)
+        d_second_ok = d_prime_prime(b) == GroupRingElement.one(b.n, 2)
     except (NotSymmetric, NotAUnit):
         d_second_ok = False
-    return VerificationReport(symmetric, sums_ok, aug_ok, d_second_ok)
+    return VerificationReport(b == swap_w(b), sums_ok, in_augmentation_ideal(x), d_second_ok)
 
 
 # The published kernel relations for the linear map sending a group element

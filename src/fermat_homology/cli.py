@@ -54,6 +54,7 @@ def _emit_scorecard(results, as_json: bool) -> int:
 
 
 def _run_bsigma(args) -> int:
+    element = bsigma(args.p, (args.c0, args.c1))
     if args.verify_all:
         run = RunInputs()
         (oracle,) = run_checks(["c03.gamma-closed-form"], run)
@@ -76,7 +77,6 @@ def _run_bsigma(args) -> int:
             print(f"{'PASS' if linear.all_pass else 'FAIL'}  linear structure of the B-map")
         ok = all(rep.all_pass for rep in structural.values())
         return 0 if ok and oracle.passed and linear.all_pass else 1
-    element = bsigma(args.p, (args.c0, args.c1))
     if args.json:
         _emit_json(element.to_json())
     else:

@@ -124,18 +124,6 @@ def _differential(mod: GModule, k: int) -> list[SparseRow]:
     return rows
 
 
-def build_complex(mod: GModule) -> tuple[FpMatrix, FpMatrix, FpMatrix]:
-    """The three cochain maps M -> M^2 -> M^3 -> M^4 as row-acting matrices.
-
-    ``h_groups`` never forms them; they are the dense form of its complex,
-    which the tests use as the reference for it."""
-    p, dim = mod.p, mod.dim
-    return tuple(
-        FpMatrix(p, (k + 1) * dim, n, fp_linalg._dense(_differential(mod, k), n))
-        for k, n in enumerate((2 * dim, 3 * dim, 4 * dim))
-    )
-
-
 @frozen
 class CohomologyGroups:
     h0: SubquotientReport
@@ -207,11 +195,6 @@ def validate_basis(
 
 
 # -- module builders for the exponent-3 coefficients --------------------
-
-
-def trivial_module(p: int, dim: int) -> GModule:
-    ident = FpMatrix.identity(p, dim)
-    return GModule(p, dim, ident, ident)
 
 
 def lambda1_module() -> GModule:

@@ -17,20 +17,20 @@ public functions take and return dense tuples and convert at their
 boundary with one scan of their input; ``cohomology`` keeps its rows
 sparse from the action matrices to the bases it reports, and
 ``homology.action_matrix`` hands the sparse rows of its system straight
-to ``_solve``, the sparse core of ``solve_many``.
+to ``_solve``.
 
-``solve_many`` answers a batch of right-hand sides with one elimination of
-the augmented matrix.  Kernels need one elimination too, in one routine,
-``_left_kernel``: the columns of a row-acting map are gathered from its
-nonzeros and scanned right to left, and the free-row vectors of that
-elimination are already the canonical (RREF) kernel basis; a left kernel
-known to contain a given subspace eliminates only the rows off that
-subspace's pivots.  Maps written as matrices follow the row convention
-used throughout the package: row k of a matrix holds the coordinates of
-the image of the k-th basis vector, and vectors act on the left
-(v -> v @ M).  ``kernel_basis`` is plain column-convention linear algebra
-({v : Mv = 0}), the left kernel of the transpose.  A column span is
-``row_space_basis(p, zip(*M.entries))``.
+``_solve`` serves ``action_matrix``: it answers a batch of right-hand
+sides with one elimination of the augmented matrix.  Kernels need one
+elimination too, in one routine, ``_left_kernel``: the columns of a
+row-acting map are gathered from its nonzeros and scanned right to left,
+and the free-row vectors of that elimination are already the canonical
+(RREF) kernel basis; a left kernel known to contain a given subspace
+eliminates only the rows off that subspace's pivots.  Maps written as
+matrices follow the row convention used throughout the package: row k of
+a matrix holds the coordinates of the image of the k-th basis vector, and
+vectors act on the left (v -> v @ M).  ``kernel_basis`` is plain
+column-convention linear algebra ({v : Mv = 0}), the left kernel of the
+transpose.  A column span is ``row_space_basis(p, zip(*M.entries))``.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ class FpMatrix:
             raise ValueError(f"modulus must be prime, got {p}")
         rows = tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
         return cls(p, n, n, rows)
-
-    @classmethod
-    def zeros(cls, p: int, rows: int, cols: int) -> "FpMatrix":
-        if not is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
-        return cls(p, rows, cols, ((0,) * cols,) * rows)
 
     def transpose(self) -> "FpMatrix":
         entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
@@ -287,31 +281,6 @@ def _solve(p: int, cols: int, rows, k: int) -> list[SparseRow | None]:
             if j >= cols:
                 solutions[j - cols][col] = x
     return [None if cols + t in inconsistent else x for t, x in enumerate(solutions)]
-
-
-def solve_many(m: FpMatrix, bs) -> list[Vector | None]:
-    """For each b in ``bs``, one solution x of M x = b, or None when that
-    system is inconsistent.  Nothing in the package calls it; it is the
-    dense form of ``_solve``, which the tests use as the reference for
-    ``homology.action_matrix``.
-
-    One elimination of [M | b_1 ... b_k] serves every right-hand side.  Free
-    coordinates are set to zero, which makes the answers deterministic.  A
-    system is inconsistent when its column is nonzero in a reduced row that
-    vanishes on M.
-    """
-    p, cols = m.p, m.cols
-    bs = [[int(x) % p for x in b] for b in bs]
-    if any(len(b) != m.rows for b in bs):
-        raise ValueError("right-hand side length does not match row count")
-    rows = _sparse(p, m.entries)
-    for k, b in enumerate(bs, start=cols):
-        for i, x in enumerate(b):
-            if x:
-                rows[i][k] = x
-    return [
-        None if x is None else _dense([x], cols)[0] for x in _solve(p, cols, rows, len(bs))
-    ]
 
 
 @frozen

@@ -9,6 +9,12 @@ reference tables, group-ring products come from the double sum over
 pairs of group elements, products in F_p[t]/(f) come from long division
 by f, and row-vector products and reductions against an RREF basis are
 plain sums over the rows.
+
+Two oracles use nothing of the package at all.  ``dense_complex`` writes
+the total complex of a module out over plain lists, block by block, by
+the bidegree rule, with S = 1 - sigma and the norm U = 1 + sigma + ... +
+sigma^(p-1) taken as a sum of powers, not as S^(p-1).  ``solve`` is plain
+Gauss-Jordan elimination of one system [M | b].
 """
 
 from __future__ import annotations
@@ -201,3 +207,81 @@ def degree_one_coboundary(raw, key: str, vector) -> tuple[int, ...]:
 
     middle = [(x - y) - (z - w) for x, y, z, w in zip(a, tau(a), b, sigma(b))]
     return tuple(c % p for c in norm(sigma, a) + middle + norm(tau, b))
+
+
+def _product(p: int, a, b) -> list[list[int]]:
+    """a b for matrices given as lists of rows, entry by entry."""
+    return [
+        [sum(x * b[k][j] for k, x in enumerate(row)) % p for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
+def dense_complex(mod, top: int = 2) -> list[list[list[int]]]:
+    """d^0, ..., d^top of the total complex of a module with actions
+    ``mod.act_sigma`` and ``mod.act_tau`` over Z/``mod.p``, as lists of rows.
+
+    Degree k has one copy of the module for each bidegree (i, j) with
+    i + j = k, block j of k + 1.  Block (i, j) maps to (i + 1, j) by
+    (-1)^j S for even i and (-1)^j U for odd i, and to (i, j + 1) by T for
+    even j and V for odd j, where S = 1 - sigma, T = 1 - tau and U, V are
+    the sums of the p powers of sigma and tau (Brown, GTM 87).
+    """
+    p, n = mod.p, mod.dim
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def one_minus(act):
+        return [[(ident[i][j] - act[i][j]) % p for j in range(n)] for i in range(n)]
+
+    def norm(act):
+        total = power = ident
+        for _ in range(p - 1):
+            power = _product(p, power, act)
+            total = [[(x + y) % p for x, y in zip(r, q)] for r, q in zip(total, power)]
+        return total
+
+    sigma, tau = mod.act_sigma.entries, mod.act_tau.entries
+    s, t, u, v = one_minus(sigma), one_minus(tau), norm(sigma), norm(tau)
+    maps = []
+    for k in range(top + 1):
+        d = [[0] * ((k + 2) * n) for _ in range((k + 1) * n)]
+        for j in range(k + 1):
+            down = u if (k - j) % 2 else s
+            right = v if j % 2 else t
+            sign = -1 if j % 2 else 1
+            for a in range(n):
+                for b in range(n):
+                    d[j * n + a][j * n + b] = sign * down[a][b] % p
+                    d[j * n + a][(j + 1) * n + b] = right[a][b]
+        maps.append(d)
+    return maps
+
+
+def solve(p: int, rows, cols: int, b) -> tuple[int, ...] | None:
+    """The solution x of M x = b whose free coordinates are zero, or None
+    when the system is inconsistent, for M given by its rows (``cols``
+    columns): Gauss-Jordan elimination of [M | b], column by column."""
+    assert len(b) == len(rows), "right-hand side length does not match row count"
+    aug = [[x % p for x in row] + [y % p] for row, y in zip(rows, b)]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if found is None:
+            continue
+        aug[r], aug[found] = aug[found], aug[r]
+        # rows r and below are zero left of c, so only columns c on change
+        pivot = aug[r]
+        inv = pow(pivot[c], p - 2, p)
+        pivot[c:] = [x * inv % p for x in pivot[c:]]
+        for i, row in enumerate(aug):
+            if i != r and row[c]:
+                f = row[c]
+                row[c:] = [(x - f * y) % p for x, y in zip(row[c:], pivot[c:])]
+        pivots.append(c)
+    if any(row[-1] for row in aug[len(pivots) :]):
+        return None
+    x = [0] * cols
+    for row, c in zip(aug, pivots):
+        x[c] = row[-1]
+    return tuple(x)

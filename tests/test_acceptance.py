@@ -22,7 +22,6 @@ from fermat_homology.bsigma import (
     verify_bsigma,
 )
 from fermat_homology.cohomology import (
-    build_complex,
     h1u_module,
     h_groups,
     lambda1_module,
@@ -54,8 +53,8 @@ from fermat_homology.homology import (
 )
 from fermat_homology.reference_tables import load_tables
 from fermat_homology.scalars import GF27
-from oracles import closure_rank, degree_one_coboundary, row_times
-from test_cohomology import random_commuting_module
+from oracles import closure_rank, degree_one_coboundary, dense_complex, row_times
+from test_cohomology import package_complex, random_commuting_module
 
 
 def _report(number, text):
@@ -205,7 +204,7 @@ def _listed_entries_hold(tables, key, mod, degree, as_basis) -> bool:
     cocycle, every recorded finding is confirmed, and the list with the
     recorded readings substituted validates as a basis of the cohomology
     group (`as_basis`) or else is linearly independent."""
-    outgoing = build_complex(mod)[degree]
+    outgoing = fl.FpMatrix.from_rows(mod.p, dense_complex(mod)[degree])
     findings = tables.findings(key)
     recorded = {f.index for f in findings}
     ok = all(
@@ -322,7 +321,7 @@ def test_c12_property_suites():
                     )
     for _ in range(20):
         mod = random_commuting_module(rng)
-        x, y, z = build_complex(mod)
+        x, y, z = package_complex(mod)
         assert (x @ y).is_zero()
         assert (y @ z).is_zero()
     u = GroupRingElement.from_dict(6, 0, {(2,): 3, (3,): 2})

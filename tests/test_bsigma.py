@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from fermat_homology import fp_linalg as fl
 from fermat_homology.bsigma import (
     b_map_analysis,
     bsigma,
@@ -14,8 +16,17 @@ from fermat_homology.bsigma import (
 )
 from fermat_homology.errors import UnsupportedExponent
 from fermat_homology.galois_kummer import KummerCoordinates, psi_from_kummer
-from fermat_homology.group_ring import GroupRingElement, augmentation, d_prime, dlog
-from fermat_homology.scalars import GF27
+from fermat_homology.group_ring import (
+    GroupRingElement,
+    augmentation,
+    d_prime,
+    d_prime_prime,
+    dlog,
+    ideal_span,
+    swap_w,
+)
+from fermat_homology.scalars import GF27, Zmod
+from oracles import convolution
 
 
 def eps(k):
@@ -71,6 +82,128 @@ def test_augmentation_ideal_membership_is_sharp():
     e, f = eps(0), eps(1)
     assert in_augmentation_ideal((one - e) * (one - f))
     assert not in_augmentation_ideal(e)
+
+
+def corner(n):
+    """(1 - e_0)(1 - e_1) as a {(i, j): c} dict."""
+    return {(0, 0): 1, (1, 0): n - 1, (0, 1): n - 1, (1, 1): 1}
+
+
+def element(n, coeffs):
+    """The element of Lambda_1 over Z/n with the given table, unreduced."""
+    return GroupRingElement(n, 1, Zmod(n), tuple(coeffs))
+
+
+def times_corner(n, z):
+    """The table of (1 - e_0)(1 - e_1) z, by the convolution oracle."""
+    cells = list(itertools.product(range(n), repeat=2))
+    product = convolution(n, Zmod(n), corner(n), dict(zip(cells, z)))
+    return tuple(product.get(cell, 0) for cell in cells)
+
+
+@pytest.mark.parametrize("n, ideal_size", [(2, 2), (3, 81)])
+def test_augmentation_ideal_membership_by_exhaustion(n, ideal_size):
+    """Every element of Lambda_1 over Z/n, against the set of all
+    products (1 - e_0)(1 - e_1) z."""
+    tables = list(itertools.product(range(n), repeat=n * n))
+    ideal = {times_corner(n, z) for z in tables}
+    assert len(ideal) == ideal_size
+    assert [in_augmentation_ideal(element(n, x)) for x in tables] == [
+        x in ideal for x in tables
+    ]
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_augmentation_ideal_at_composite_n(n):
+    rng = random.Random(f"composite/{n}")
+    for _ in range(50):
+        z = [rng.randrange(-n, 2 * n) for _ in range(n * n)]
+        assert in_augmentation_ideal(element(n, times_corner(n, z)))
+    assert not in_augmentation_ideal(GroupRingElement.one(n, 1))
+
+
+def ideal_path(n):
+    """The replaced membership test: reduction against the RREF basis of
+    the ideal, which needs prime n."""
+    one = GroupRingElement.one(n, 1)
+    e0 = GroupRingElement.monomial(n, 1, (1, 0))
+    e1 = GroupRingElement.monomial(n, 1, (0, 1))
+    basis = ideal_span([(one - e0) * (one - e1)])
+    return lambda x: fl.in_span(n, basis, [x.coeffs])[0]
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_augmentation_ideal_matches_the_elimination_path(p):
+    rng = random.Random(f"ideal-path/{p}")
+    in_ideal = ideal_path(p)
+    members = [times_corner(p, [rng.randrange(p) for _ in range(p * p)]) for _ in range(20)]
+    others = [[rng.randrange(-p, 2 * p) for _ in range(p * p)] for _ in range(20)]
+    # a member plus a constant: zero sums off row and column 0, not in the ideal
+    shifted = [(x[0] + rng.randrange(1, p),) + x[1:] for x in members[:10]]
+    results = []
+    for x in members + others + shifted:
+        results.append(in_augmentation_ideal(element(p, x)))
+        assert results[-1] == in_ideal(element(p, x)), x
+    assert results[:20] == [True] * 20 and not any(results[40:])
+
+
+def reference_report(b, in_ideal):
+    """``verify_bsigma(b).to_json()`` with the row and column sums read off
+    the grid and the ideal test by elimination."""
+    n, grid = b.n, b.grid()
+    sums_ok = all(sum(grid[i]) % n == 0 for i in range(1, n)) and all(
+        sum(grid[i][j] for i in range(n)) % n == 0 for j in range(1, n)
+    )
+    try:
+        d_second_ok = d_prime_prime(b) == GroupRingElement.one(n, 2)
+    except ValueError:
+        d_second_ok = False
+    flags = {
+        "symmetric": b == swap_w(b),
+        "zero_row_col_sums": sums_ok,
+        "augmentation_ideal": in_ideal(b - GroupRingElement.one(n, 1)),
+        "d_second_trivial": d_second_ok,
+    }
+    return {**flags, "all_pass": all(flags.values())}
+
+
+def unreduced(rng, n, table):
+    """The same residues, each entry moved by a random multiple of n."""
+    return [x + n * rng.randrange(-2, 3) for x in table]
+
+
+def verification_cases(rng, n, count, units):
+    """Random tables; ones in 1 + ideal, or off it by a constant; and
+    ``units`` symmetric units d'(g) with eps(g) = 1, all unreduced."""
+    for k in range(count):
+        if k < units:
+            g = [rng.randrange(n) for _ in range(n)]
+            g[0] = (1 - sum(g[1:])) % n
+            grid = d_prime(GroupRingElement(n, 0, Zmod(n), tuple(g))).grid()
+            # the same lift at (i, j) and (j, i) keeps the table symmetric
+            for i, j in itertools.combinations_with_replacement(range(n), 2):
+                grid[i][j] = grid[j][i] = grid[i][j] + n * rng.randrange(-2, 3)
+            yield element(n, [x for row in grid for x in row])
+        elif k % 2:
+            yield element(n, [rng.randrange(-2 * n, 3 * n) for _ in range(n * n)])
+        else:
+            table = list(times_corner(n, [rng.randrange(n) for _ in range(n * n)]))
+            # 1 plus an ideal element, or that off the ideal by a constant
+            table[0] += 1 + rng.choice([0, 0, rng.randrange(n)])
+            yield element(n, unreduced(rng, n, table))
+
+
+@pytest.mark.parametrize("n, units", [(3, 20), (5, 10), (7, 3)])
+def test_verify_bsigma_matches_the_grid_reference(n, units):
+    rng = random.Random(f"verify/{n}")
+    in_ideal = ideal_path(n)
+    seen = set()
+    for b in verification_cases(rng, n, 400, units):
+        report = verify_bsigma(b).to_json()
+        assert report == reference_report(b, in_ideal), b
+        seen.update(report.items())
+    # every flag came out both ways
+    assert len(seen) == 10
 
 
 def test_gamma_oracle_root_count_and_zero_case():

@@ -191,6 +191,11 @@ def test_usage_error_exit_code(capsys):
         (["homology", "--n", "24"], "n=24 exceeds the configured bound 23"),
         (["homology", "--n", "2", "--which", "relative"], "exponent must be at least 3, got 2"),
         (["homology", "--n", "-3", "--which", "relative"], "exponent must be at least 3, got -3"),
+        (["bsigma", "--verify-all", "--p", "5"], "B reconstruction is implemented for p=3, got p=5"),
+        (
+            ["bsigma", "--verify-all", "--p", "5", "--json"],
+            "B reconstruction is implemented for p=3, got p=5",
+        ),
     ],
 )
 def test_rejected_input_prints_one_line_and_exits_two(capsys, argv, message):

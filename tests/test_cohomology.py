@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import types
 
 import pytest
 
@@ -11,12 +12,10 @@ from fermat_homology.cohomology import (
     CohomologyGroups,
     GModule,
     _differential,
-    build_complex,
     h1u_module,
     h1x_module,
     h_groups,
     lambda1_module,
-    trivial_module,
     validate_basis,
     wedge_module,
 )
@@ -33,9 +32,27 @@ from oracles import (
     bar_cohomology_trivial,
     closure_rank,
     degree_one_coboundary,
+    dense_complex,
     row_times,
     rref_residue,
+    solve,
 )
+
+
+def package_complex(mod, top=2):
+    """d^0, ..., d^top of the package's complex: ``_differential``
+    densified into matrices."""
+    p, dim = mod.p, mod.dim
+    shapes = [((k + 1) * dim, (k + 2) * dim) for k in range(top + 1)]
+    return [
+        fl.FpMatrix(p, rows, cols, fl._dense(_differential(mod, k), cols))
+        for k, (rows, cols) in enumerate(shapes)
+    ]
+
+
+def trivial_module(p, dim):
+    ident = fl.FpMatrix.identity(p, dim)
+    return GModule(p, dim, ident, ident)
 
 
 def random_commuting_module(rng, p=3, dim=6):
@@ -58,7 +75,9 @@ def random_commuting_module(rng, p=3, dim=6):
         )
         if fl.rank(cand) == dim:
             break
-    inverse_cols = [fl.solve_many(cand, [tuple(1 if i == j else 0 for i in range(dim))])[0] for j in range(dim)]
+    inverse_cols = [
+        solve(p, cand.entries, dim, [int(i == j) for i in range(dim)]) for j in range(dim)
+    ]
     cand_inv = fl.FpMatrix.from_rows(p, list(zip(*inverse_cols)))
     return GModule(p, dim, cand_inv @ act_a @ cand, cand_inv @ act_b @ cand)
 
@@ -117,7 +136,7 @@ def test_order_check_at_its_boundary(p):
     a nonzero norm (J - 1)^(p-1); at size p + 1, J has order p^2."""
     block = jordan_block(p, p)
     mod = GModule(p, p, block, fl.FpMatrix.identity(p, p))
-    _, y, _ = build_complex(mod)
+    _, y, _ = package_complex(mod)
     assert any(any(row[:p]) for row in y.entries[:p])
     big = jordan_block(p, p + 1)
     ident = fl.FpMatrix.identity(p, p + 1)
@@ -142,9 +161,10 @@ def residue_subquotient(p, ambient_dim, kernel, image):
 
 def reference_h_groups(mod):
     """The cohomology as a composition of the public dense functions on
-    the matrices of `build_complex`, with the cosets taken by reduction."""
+    the matrices of the oracle `dense_complex`, with the cosets taken by
+    reduction."""
     p, dim = mod.p, mod.dim
-    x, y, z = build_complex(mod)
+    x, y, z = (fl.FpMatrix.from_rows(p, d) for d in dense_complex(mod))
     invariants = tuple(fl.kernel_basis(x.transpose()))
     h0 = fl.SubquotientReport(dim, invariants, (), invariants)
     h1 = residue_subquotient(
@@ -168,6 +188,49 @@ def test_h_groups_matches_the_public_functions_on_the_paper_modules():
     for build in (lambda1_module, h1u_module, h1x_module, wedge_module):
         mod = build()
         assert h_groups(mod) == reference_h_groups(mod)
+
+
+def assert_differential_matches_the_dense_oracle(mod, top=4):
+    dim = mod.dim
+    for k, d in enumerate(dense_complex(mod, top)):
+        assert [list(row) for row in fl._dense(_differential(mod, k), (k + 2) * dim)] == d
+        assert len(d) == (k + 1) * dim
+
+
+def test_differential_matches_the_dense_oracle_on_the_paper_modules():
+    for build in (lambda1_module, h1u_module, h1x_module, wedge_module):
+        assert_differential_matches_the_dense_oracle(build())
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_differential_matches_the_dense_oracle_on_random_modules(p):
+    rng = random.Random(f"dense-oracle/{p}")
+    for dim in (1, 3, 6):
+        assert_differential_matches_the_dense_oracle(random_commuting_module(rng, p=p, dim=dim))
+
+
+def package_names(func, seen=()):
+    """The names of the package that ``func`` or a function it calls reads
+    from its module's globals."""
+    found, codes = set(), [func.__code__]
+    while codes:
+        code = codes.pop()
+        codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in code.co_names:
+            value = func.__globals__.get(name)
+            if isinstance(value, types.FunctionType) and value not in seen:
+                found |= package_names(value, (*seen, func))
+            elif value is not None and "fermat_homology" in (
+                getattr(value, "__module__", None) or getattr(value, "__name__", "")
+            ):
+                found.add(name)
+    return found
+
+
+def test_the_dense_oracles_use_nothing_of_the_package():
+    assert package_names(dense_complex) == package_names(solve) == set()
+    # the walk does see a package name where one is read
+    assert package_names(random_commuting_module) >= {"fl", "GModule"}
 
 
 def broken_differential(degree):
@@ -218,7 +281,7 @@ def test_norm_equals_the_sum_of_powers(p):
     1 + a + ... + a^(p-1) of the two actions."""
     mod = random_commuting_module(random.Random(f"norm/{p}"), p=p)
     dim = mod.dim
-    _, y, _ = build_complex(mod)
+    _, y, _ = package_complex(mod)
     blocks = (
         [row[:dim] for row in y.entries[:dim]],
         [row[2 * dim :] for row in y.entries[dim:]],
@@ -232,13 +295,13 @@ def test_norm_equals_the_sum_of_powers(p):
 
 
 def test_trivial_module_complex_is_zero():
-    x, y, z = build_complex(trivial_module(3, 1))
+    x, y, z = package_complex(trivial_module(3, 1))
     assert x.is_zero() and y.is_zero() and z.is_zero()
 
 
 def test_group_ring_blocks_match_listed_matrices():
     tables = load_tables()
-    x, y, z = build_complex(lambda1_module())
+    x, y, z = package_complex(lambda1_module())
     s, t = tables.s_matrix(), tables.t_matrix()
     assert [list(row[:9]) for row in x.entries] == [list(r) for r in s.entries]
     assert [list(row[9:]) for row in x.entries] == [list(r) for r in t.entries]
@@ -255,7 +318,7 @@ def test_group_ring_blocks_match_listed_matrices():
 
 def test_affine_homology_blocks():
     tables = load_tables()
-    x, y, _ = build_complex(h1u_module())
+    x, y, _ = package_complex(h1u_module())
     assert [list(row[:4]) for row in x.entries] == [list(r) for r in tables.s1_matrix().entries]
     assert [list(row[4:]) for row in x.entries] == [[0] * 4] * 4
     assert all(all(v == 0 for v in row[:4]) for row in y.entries[:4])
@@ -265,7 +328,7 @@ def test_complex_property_on_random_modules():
     rng = random.Random(2024)
     for _ in range(20):
         mod = random_commuting_module(rng)
-        x, y, z = build_complex(mod)
+        x, y, z = package_complex(mod)
         assert (x @ y).is_zero()
         assert (y @ z).is_zero()
 
@@ -405,7 +468,7 @@ def test_misprint_reading_is_a_cocycle():
     tables = load_tables()
     misprint = tables.h1_lambda1_misprint()
     vector = tables.vectors("h1_lambda1")[misprint["index"]]
-    _, y, _ = build_complex(lambda1_module())
+    _, y, _ = package_complex(lambda1_module())
     assert not any(row_times(vector, y))
 
 
@@ -431,7 +494,7 @@ def test_listed_kernel_and_image_vectors_status():
     vectors three lie in the transpose-convention image and one lies in
     neither candidate space."""
     tables = load_tables()
-    x, y, _ = build_complex(lambda1_module())
+    x, y, _ = package_complex(lambda1_module())
     for v in tables.vectors("kernel_y_lambda1"):
         assert not any(row_times(v, y))
     image = fl.row_space_basis(3, zip(*x.transpose().entries))
@@ -447,7 +510,7 @@ def test_listed_kernel_and_image_vectors_status():
 
 
 def test_degree_one_coboundary_oracle_matches_the_complex():
-    """The table-driven oracle and Y of `build_complex` agree on every
+    """The table-driven oracle and Y of the package's complex agree on every
     listed degree-1 vector, every recorded reading and random cochains."""
     tables = load_tables()
     rng = random.Random(31)
@@ -457,7 +520,7 @@ def test_degree_one_coboundary_oracle_matches_the_complex():
         ("h1_lambda1", lambda1_module()),
         ("h1_h1u", h1u_module()),
     ):
-        _, y, _ = build_complex(mod)
+        _, y, _ = package_complex(mod)
         vectors = tables.vectors(key) + tables.read_vectors(key)
         vectors += [tuple(rng.randrange(3) for _ in range(2 * mod.dim)) for _ in range(50)]
         for v in vectors:

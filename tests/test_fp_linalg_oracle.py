@@ -9,9 +9,11 @@ import random
 import pytest
 
 from fermat_homology import fp_linalg as fl
-from fermat_homology.cohomology import GModule, build_complex, lambda1_module
+from fermat_homology.cohomology import GModule, lambda1_module
 from fermat_homology.group_ring import GroupRingElement, multiplication_matrix
 from fermat_homology.homology import action_matrix, h1U_basis
+from oracles import dense_complex, solve
+from test_fp_linalg import solve_sparse
 
 sympy_matrices = pytest.importorskip("sympy.polys.matrices")
 GF = pytest.importorskip("sympy").GF
@@ -75,9 +77,10 @@ def test_rank_kernel_image_and_row_space_match_sympy(p, rows, cols, density):
 
 @pytest.mark.parametrize("p, rows, cols, density", cases())
 def test_solve_many_matches_solve_column_by_column(p, rows, cols, density):
+    """``fl._solve`` on many right-hand sides at once against one at a
+    time, sympy's left null space and the Gauss-Jordan oracle."""
     rng = random.Random(f"solve/{p}/{rows}x{cols}/{density}")
     table = random_rows(rng, p, rows, cols, density)
-    m = fl.FpMatrix.from_rows(p, table)
     consistent = []
     for _ in range(3):
         x = [rng.randrange(p) for _ in range(cols)]
@@ -87,8 +90,9 @@ def test_solve_many_matches_solve_column_by_column(p, rows, cols, density):
     # M x = b is solvable exactly when b is orthogonal to the left null space
     left_null = oracle_null_rows(p, [list(col) for col in zip(*table)], rows)
 
-    solutions = fl.solve_many(m, bs)
-    assert solutions == [fl.solve_many(m, [b])[0] for b in bs]
+    solutions = solve_sparse(p, table, cols, bs)
+    assert solutions == [solve_sparse(p, table, cols, [b])[0] for b in bs]
+    assert solutions == [solve(p, table, cols, b) for b in bs]
     for b, x in zip(bs, solutions):
         solvable = all(sum(y * v for y, v in zip(w, b)) % p == 0 for w in left_null)
         assert (x is not None) == solvable
@@ -102,9 +106,11 @@ def test_solve_many_matches_solve_column_by_column(p, rows, cols, density):
 
 
 def test_solve_many_flags_an_inconsistent_column_among_consistent_ones():
-    m = fl.FpMatrix.from_rows(5, [[1, 2], [2, 4]])
-    assert fl.solve_many(m, [(1, 1), (3, 1), (0, 1)]) == [None, (3, 0), None]
-    assert fl.solve_many(m, []) == []
+    m = [[1, 2], [2, 4]]
+    bs = [(1, 1), (3, 1), (0, 1)]
+    assert solve_sparse(5, m, 2, bs) == [None, (3, 0), None]
+    assert [solve(5, m, 2, b) for b in bs] == [None, (3, 0), None]
+    assert solve_sparse(5, m, 2, []) == []
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -143,7 +149,9 @@ def natural_modules(p):
 
 def test_complex_differentials_match_sympy():
     modules = [lambda1_module(), *natural_modules(5)]
-    complexes = [build_complex(mod) for mod in modules]
+    complexes = [
+        [fl.FpMatrix.from_rows(mod.p, d) for d in dense_complex(mod)] for mod in modules
+    ]
     assert [z.rows for _, _, z in complexes] == [27, 48, 75]
     for mod, differentials in zip(modules, complexes):
         p = mod.p

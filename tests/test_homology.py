@@ -16,6 +16,7 @@ from fermat_homology.homology import (
 )
 from fermat_homology.reference_tables import load_tables
 from fermat_homology.scalars import GF27, Zmod
+from oracles import solve
 
 
 def monomial_class(n, i, j):
@@ -247,13 +248,14 @@ def test_quotient_action_is_well_defined():
 
 
 def action_matrix_one_solve_per_vector(b, basis, modulo=None):
-    """Reference action matrix: one solve for each basis vector's image."""
+    """Reference action matrix: one Gauss-Jordan solve (the oracle) for
+    each basis vector's image."""
     n = b.n
     columns = [rc.vector() for rc in basis] + [rc.vector() for rc in modulo or []]
     system = fl.FpMatrix.from_rows(n, columns).transpose()
     rows = []
     for rc in basis:
-        x = fl.solve_many(system, [(b * rc.w).coeffs])[0]
+        x = solve(n, system.entries, system.cols, (b * rc.w).coeffs)
         assert x is not None
         rows.append(x[: len(basis)])
     return fl.FpMatrix.from_rows(n, rows)

@@ -15,12 +15,7 @@ import sys
 import pytest
 
 from fermat_homology.bsigma import BMapReport, VerificationReport
-from fermat_homology.cohomology import (
-    BasisValidation,
-    CohomologyGroups,
-    GModule,
-    trivial_module,
-)
+from fermat_homology.cohomology import BasisValidation, CohomologyGroups, GModule
 from fermat_homology.cyclotomic import CyclotomicInt, IdentityReport
 from fermat_homology.errors import InvalidAction
 from fermat_homology.fp_linalg import FpMatrix, SubquotientReport
@@ -155,7 +150,8 @@ def test_fp_matrix_repr():
 
 
 def test_gmodule_equality_and_repr_ignore_the_cached_blocks():
-    a, b = trivial_module(3, 1), trivial_module(3, 1)
+    ident = FpMatrix.identity(3, 1)
+    a, b = GModule(3, 1, ident, ident), GModule(3, 1, ident, ident)
     assert a._blocks is not b._blocks
     object.__setattr__(b, "_blocks", None)
     assert a == b and hash(a) == hash(b)
@@ -176,7 +172,8 @@ def test_post_init_is_looked_up_on_the_class_at_construction(monkeypatch):
         original(self)
 
     monkeypatch.setattr(GModule, "__post_init__", counted)
-    trivial_module(3, 2)
+    ident = FpMatrix.identity(3, 2)
+    GModule(3, 2, ident, ident)
     assert calls == [2]
 
 
