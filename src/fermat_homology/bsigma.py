@@ -222,7 +222,7 @@ def b_map_analysis() -> BMapReport:
     rows = [bsigma_p3(*g.c).coeffs for g in elements]
     matrix = fp_linalg.FpMatrix.from_rows(3, rows)
     image_span = fp_linalg.row_space_basis(3, matrix.entries)
-    kernel_dim = len(fp_linalg.kernel_basis(matrix.transpose()))
+    kernel_dim = len(fp_linalg.kernel_basis(matrix))
     zero = GroupRingElement.zero(3, 1)
     relation_flags = []
     relation_names = []

@@ -27,10 +27,9 @@ and the free-row vectors of that elimination are already the canonical
 (RREF) kernel basis; a left kernel known to contain a given subspace
 eliminates only the rows off that subspace's pivots.  Maps written as
 matrices follow the row convention used throughout the package: row k of
-a matrix holds the coordinates of the image of the k-th basis vector, and
-vectors act on the left (v -> v @ M).  ``kernel_basis`` is plain
-column-convention linear algebra ({v : Mv = 0}), the left kernel of the
-transpose.  A column span is ``row_space_basis(p, zip(*M.entries))``.
+a matrix holds the coordinates of the image of the k-th basis vector,
+vectors act on the left (v -> v @ M), and ``kernel_basis`` is the kernel
+of that map, {v : v @ M = 0}.
 """
 
 from __future__ import annotations
@@ -71,10 +70,6 @@ class FpMatrix:
             raise ValueError(f"modulus must be prime, got {p}")
         rows = tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
         return cls(p, n, n, rows)
-
-    def transpose(self) -> "FpMatrix":
-        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
-        return FpMatrix(self.p, self.cols, self.rows, entries)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         if self.p != other.p or self.cols != other.rows:
@@ -258,10 +253,9 @@ def rank(m: FpMatrix) -> int:
 
 
 def kernel_basis(m: FpMatrix) -> list[Vector]:
-    """Canonical basis of {v : M v = 0} (column convention): the left
-    kernel of the transpose, from one elimination of M (see ``_left_kernel``)."""
-    rows = _sparse(m.p, m.transpose().entries)
-    return list(_dense(_left_kernel(m.p, rows), m.cols))
+    """Canonical basis of {v : v @ M = 0}, from one elimination of M's
+    columns (see ``_left_kernel``)."""
+    return list(_dense(_left_kernel(m.p, _sparse(m.p, m.entries)), m.rows))
 
 
 def _solve(p: int, cols: int, rows, k: int) -> list[SparseRow | None]:

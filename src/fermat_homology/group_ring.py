@@ -5,7 +5,9 @@ stored as a dense coefficient table indexed by packed exponent tuples
 (big-endian: the exponent of e_0 varies slowest).  Coefficients live in
 Z/n by default; a prime-power extension field can be supplied instead,
 which is how the gamma-element computations work at finite precision
-inside an algebraic closure of Z/p.
+inside an algebraic closure of Z/p.  The table is reduced entry by entry
+(``ring.reduce``) when an element is made, so each value has one table:
+equality, hashing and the zero tests compare entries with ``ring.zero``.
 
 A monomial permutes the monomial basis, so multiplying by e^s rotates the
 table: along each axis k, every block of n runs of length n^(m-k) turns by
@@ -64,6 +66,9 @@ class GroupRingElement:
     ring: object
     coeffs: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(map(self.ring.reduce, self.coeffs)))
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -112,14 +117,12 @@ class GroupRingElement:
         return [list(self.coeffs[i * n : (i + 1) * n]) for i in range(n)]
 
     def support(self):
-        return [
-            (exps, c)
-            for exps, c in zip(product(range(self.n), repeat=self.m + 1), self.coeffs)
-            if not self.ring.is_zero(c)
-        ]
+        zero = self.ring.zero
+        exps = product(range(self.n), repeat=self.m + 1)
+        return [(e, c) for e, c in zip(exps, self.coeffs) if c != zero]
 
     def is_zero(self) -> bool:
-        return all(self.ring.is_zero(c) for c in self.coeffs)
+        return self.coeffs.count(self.ring.zero) == len(self.coeffs)
 
     def _check_compatible(self, other: "GroupRingElement") -> None:
         if (self.n, self.m, self.ring) != (other.n, other.m, other.ring):
@@ -194,7 +197,7 @@ class GroupRingElement:
         ring = self.ring
         out = [ring.zero] * (n ** (new_m + 1))
         for exps, c in zip(product(range(n), repeat=self.m + 1), self.coeffs):
-            if ring.is_zero(c):
+            if c == ring.zero:
                 continue
             new_exps = [0] * (new_m + 1)
             for k, e in enumerate(exps):
@@ -296,7 +299,7 @@ def invert(u: GroupRingElement) -> GroupRingElement:
     ring, n = u.ring, u.n
     if getattr(ring, "is_field", False) and ring.char == n:
         eps = augmentation(u)
-        if ring.is_zero(eps):
+        if eps == ring.zero:
             raise NotAUnit("element is not invertible")
         return (u ** (n - 1)).scale(_power(eps, n * (ring.size - 2), ring.mul, ring.one))
     one = GroupRingElement.one(n, u.m, ring)
@@ -356,7 +359,7 @@ def multiplication_matrix(a: GroupRingElement) -> FpMatrix:
 def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:
     """Basis of {x : h*x = 0} inside the group ring, for prime n: the left
     kernel of the multiplication matrix."""
-    return kernel_basis(multiplication_matrix(h).transpose())
+    return kernel_basis(multiplication_matrix(h))
 
 
 def ideal_span(generators: list[GroupRingElement]) -> list[tuple[int, ...]]:

@@ -248,7 +248,7 @@ def _annihilator_sigma(run: RunInputs) -> bool:
 def _annihilator_tau(run: RunInputs) -> tuple[bool, str]:
     one, e, f = _one_e_f()
     ann = annihilator(one - bsigma_p3(0, 1))
-    ker_t = fp_linalg.kernel_basis(run.tables.t_matrix().transpose())
+    ker_t = fp_linalg.kernel_basis(run.tables.t_matrix())
     return (
         ann == ideal_span([e - f, one + f + f * f]) and ann == ker_t,
         f"common dimension {len(ann)}",

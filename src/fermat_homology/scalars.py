@@ -4,7 +4,8 @@ Two domains are supported: the residue ring Z/n (elements are plain ints
 reduced into [0, n)) and a prime-power extension field F_{p^k} given by a
 fixed monic irreducible modulus (elements are coefficient tuples of length
 k, low degree first).  Both expose the same small interface so the group
-ring can stay agnostic about which one it is working over.
+ring can stay agnostic about which one it is working over; ``reduce``
+maps any representative to the canonical form that elements compare in.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class Zmod:
     def lift_int(self, c: int) -> int:
         return c % self.n
 
-    def is_zero(self, a: int) -> bool:
-        return a % self.n == 0
+    def reduce(self, a: int) -> int:
+        return a % self.n
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Zmod) and other.n == self.n
@@ -132,14 +133,12 @@ class PrimeExtensionField:
     def lift_int(self, c: int):
         return (c % self.p,) + (0,) * (self.degree - 1)
 
-    def is_zero(self, a) -> bool:
-        return all(x % self.p == 0 for x in a)
+    def reduce(self, a):
+        return tuple(x % self.p for x in a)
 
     def to_prime_int(self, a):
-        """The prime-field value of ``a``, or None if a is not in F_p."""
-        if any(x % self.p for x in a[1:]):
-            return None
-        return a[0] % self.p
+        """The prime-field value of a reduced ``a``, or None if a is not in F_p."""
+        return None if any(a[1:]) else a[0]
 
     def __eq__(self, other: object) -> bool:
         return (

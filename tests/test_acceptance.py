@@ -100,7 +100,7 @@ def test_c03_oracle_equivalence():
                 assert augmentation(gamma) == GF27.one
                 residue = dlog(gamma).components[0] - psi_elt
                 assert all(
-                    GF27.is_zero(residue.coeff(k)) for k in range(1, 3)
+                    residue.coeff(k) == GF27.zero for k in range(1, 3)
                 ), "difference must be constant in the group-ring variable"
     _report(3, "gamma oracle equivalence, coefficient sums and dlog cosets")
 
@@ -266,7 +266,7 @@ def test_c09_annihilators():
     assert closure_rank(3, t_matrix.entries) == 2
     ann_tau = annihilator(one - b_tau)
     assert len(ann_tau) == 7
-    assert ann_tau == fl.kernel_basis(t_matrix.transpose())
+    assert ann_tau == fl.kernel_basis(t_matrix)
     assert ann_tau == ideal_span([e - f, one + f + f * f])
     _report(9, "annihilator dimensions 9, 8, 5 and the ker-T/ideal agreement")
 

@@ -71,6 +71,22 @@ def test_structural_report_passes_for_all_pairs():
             assert report.all_pass, (c0, c1, report)
 
 
+@pytest.mark.parametrize("c0, c1", itertools.product(range(3), repeat=2))
+def test_an_unreduced_table_is_the_same_unit(c0, c1):
+    """B(c0, c1) rebuilt from its table with any one entry moved by +3 or
+    -3, off the diagonal too, is the same element with the same report."""
+    b = bsigma_p3(c0, c1)
+    report = verify_bsigma(b).to_json()
+    for k in range(9):
+        for shift in (3, -3):
+            table = list(b.coeffs)
+            table[k] += shift
+            u = GroupRingElement(3, 1, Zmod(3), tuple(table))
+            assert u == b and hash(u) == hash(b), (k, shift)
+            assert u.is_symmetric() == b.is_symmetric()
+            assert verify_bsigma(u).to_json() == report, (k, shift)
+
+
 def test_structural_report_on_degenerate_inputs():
     assert verify_bsigma(GroupRingElement.one(3, 1)).all_pass
     report = verify_bsigma(eps(0))
@@ -90,7 +106,8 @@ def corner(n):
 
 
 def element(n, coeffs):
-    """The element of Lambda_1 over Z/n with the given table, unreduced."""
+    """The element of Lambda_1 over Z/n made from the given table, which
+    may be unreduced."""
     return GroupRingElement(n, 1, Zmod(n), tuple(coeffs))
 
 
@@ -179,11 +196,8 @@ def verification_cases(rng, n, count, units):
         if k < units:
             g = [rng.randrange(n) for _ in range(n)]
             g[0] = (1 - sum(g[1:])) % n
-            grid = d_prime(GroupRingElement(n, 0, Zmod(n), tuple(g))).grid()
-            # the same lift at (i, j) and (j, i) keeps the table symmetric
-            for i, j in itertools.combinations_with_replacement(range(n), 2):
-                grid[i][j] = grid[j][i] = grid[i][j] + n * rng.randrange(-2, 3)
-            yield element(n, [x for row in grid for x in row])
+            unit = d_prime(GroupRingElement(n, 0, Zmod(n), tuple(g)))
+            yield element(n, unreduced(rng, n, unit.coeffs))
         elif k % 2:
             yield element(n, [rng.randrange(-2 * n, 3 * n) for _ in range(n * n)])
         else:

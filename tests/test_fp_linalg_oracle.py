@@ -68,10 +68,10 @@ def test_rank_kernel_image_and_row_space_match_sympy(p, rows, cols, density):
 
     assert fl.row_space_basis(p, table) == row_space
     assert fl.rank(m) == len(row_space)
-    kernel = fl.kernel_basis(m)
-    assert len(kernel) == cols - len(row_space)
-    assert kernel == oracle_rref_rows(p, oracle_null_rows(p, table, cols), cols)
     transpose = [list(col) for col in zip(*table)]
+    kernel = fl.kernel_basis(m)
+    assert len(kernel) == rows - len(row_space)
+    assert kernel == oracle_rref_rows(p, oracle_null_rows(p, transpose, rows), rows)
     assert fl.row_space_basis(p, zip(*m.entries)) == oracle_rref_rows(p, transpose, rows)
 
 
@@ -156,11 +156,9 @@ def test_complex_differentials_match_sympy():
     for mod, differentials in zip(modules, complexes):
         p = mod.p
         for d in differentials:
-            transpose = d.transpose()
-            acting = [list(row) for row in transpose.entries]
+            acting = [list(col) for col in zip(*d.entries)]
             null = oracle_null_rows(p, acting, d.rows)
-            assert fl.kernel_basis(transpose) == oracle_rref_rows(p, null, d.rows)
+            assert fl.kernel_basis(d) == oracle_rref_rows(p, null, d.rows)
             rows = [list(row) for row in d.entries]
             image = oracle_rref_rows(p, rows, d.cols)
-            assert fl.row_space_basis(p, zip(*transpose.entries)) == image
             assert fl.row_space_basis(p, d.entries) == image

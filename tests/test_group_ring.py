@@ -363,6 +363,21 @@ def test_invert_on_random_elements_of_prime_exponent(n):
             assert oracle_product(n, 2, ring, table, invert(u).coeffs) == one
 
 
+def test_an_unreduced_f27_table_is_the_same_unit():
+    """A gamma element with one coordinate of one entry moved by 3 equals
+    its reduced form, hashes alike and has the same inverse."""
+    gamma = gamma_oracle_p3(1, 2)[0][1]
+    inverse = invert(gamma)
+    for k in range(3):
+        for i in range(3):
+            entry = list(gamma.coeffs[k])
+            entry[i] += 3
+            table = gamma.coeffs[:k] + (tuple(entry),) + gamma.coeffs[k + 1 :]
+            u = GroupRingElement(3, 0, GF27, table)
+            assert u == gamma and hash(u) == hash(gamma), (k, i)
+            assert invert(u) == inverse
+
+
 @pytest.mark.parametrize("arity", (1, 2, 3))
 def test_unit_times_inverse_is_one_over_f27(arity):
     rng = random.Random(f"f27-invert/{arity}")
@@ -378,7 +393,7 @@ def test_unit_times_inverse_is_one_over_f27(arity):
             with pytest.raises(NotAUnit):
                 invert(GroupRingElement(3, arity - 1, GF27, tuple(table)))
             continue
-        if GF27.is_zero(GF27.add(table[0], rest)):
+        if GF27.add(table[0], rest) == GF27.zero:
             table[0] = GF27.add(table[0], GF27.one)
         u = GroupRingElement(3, arity - 1, GF27, tuple(table))
         inverse = invert(u)

@@ -252,10 +252,10 @@ def action_matrix_one_solve_per_vector(b, basis, modulo=None):
     each basis vector's image."""
     n = b.n
     columns = [rc.vector() for rc in basis] + [rc.vector() for rc in modulo or []]
-    system = fl.FpMatrix.from_rows(n, columns).transpose()
+    system = list(zip(*columns))
     rows = []
     for rc in basis:
-        x = solve(n, system.entries, system.cols, (b * rc.w).coeffs)
+        x = solve(n, system, len(columns), (b * rc.w).coeffs)
         assert x is not None
         rows.append(x[: len(basis)])
     return fl.FpMatrix.from_rows(n, rows)
