@@ -46,12 +46,6 @@ def bsigma_p3(c0: int, c1: int) -> GroupRingElement:
     return GroupRingElement.from_grid(3, grid)
 
 
-def bsigma_p3_from_psi(c1: int, c2: int) -> GroupRingElement:
-    """The same unit parametrized by the two differential coefficients
-    (c_1, c_2), which is bsigma_p3(c_2 - c_1, c_1)."""
-    return bsigma_p3((c2 - c1) % 3, c1)
-
-
 def bsigma(p: int, coords) -> GroupRingElement:
     """Extension point over the exponent; only p = 3 has a closed form."""
     if p != 3:
@@ -61,7 +55,8 @@ def bsigma(p: int, coords) -> GroupRingElement:
 
 
 def gamma_oracle_p3(c1: int, c2: int) -> list[tuple[tuple, GroupRingElement]]:
-    """All gamma elements over F_27 mapping to B under d_prime.
+    """All gamma elements over F_27 mapping under d_prime to the B of the
+    group element whose psi vector (``psi_from_kummer``) is (c_1, c_2).
 
     Returns the three pairs (alpha, Gamma) with alpha a root of
     alpha^3 - alpha + c^3 = 0, c = c_1 + c_2, and
@@ -72,8 +67,8 @@ def gamma_oracle_p3(c1: int, c2: int) -> list[tuple[tuple, GroupRingElement]]:
     c^3 = c in F_3 the roots are alpha = a - c t for a = 0, 1, 2.
     """
     ring = GF27
-    c1f = ring.lift_int(c1)
-    c2f = ring.lift_int(c2)
+    c1f = ring.reduce(c1)
+    c2f = ring.reduce(c2)
     cf = ring.add(c1f, c2f)
     results = []
     for a in range(3):

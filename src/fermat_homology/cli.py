@@ -2,10 +2,12 @@
 
 Subcommands: bsigma, psi, homology, cohomology, cyclotomic and
 reproduce-paper.  Text output is deterministic; --json switches every
-subcommand to machine-readable output that round-trips through the
-library's deserializers.  Exit codes: 0 on success (and when every check
-passes), 1 when a requested check fails, 2 on usage errors, including
-inputs the library rejects, which print one line to stderr.
+subcommand to machine-readable output.  The bsigma payload and the input
+of the psi payload read back through the library's deserializers; the
+other payloads are reports for reading only.  Exit codes: 0 on success
+(and when every check passes), 1 when a requested check fails, 2 on usage
+errors, including inputs the library rejects, which print one line to
+stderr.
 """
 
 from __future__ import annotations

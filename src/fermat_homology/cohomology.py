@@ -126,6 +126,9 @@ def _differential(mod: GModule, k: int) -> list[SparseRow]:
 
 @frozen
 class CohomologyGroups:
+    """H^0, H^1 and H^2 of a module over Z/p, with the p they were computed over."""
+
+    p: int
     h0: SubquotientReport
     h1: SubquotientReport
     h2: SubquotientReport
@@ -155,7 +158,7 @@ def h_groups(mod: GModule) -> CohomologyGroups:
             pivots = {min(row) for row in kernel}
             generators = [row for i, row in enumerate(d) if i not in pivots]
             image = fp_linalg._rref(p, generators)[0]
-    return CohomologyGroups(*reports)
+    return CohomologyGroups(p, *reports)
 
 
 @frozen
@@ -172,16 +175,14 @@ class BasisValidation:
         return all(self.memberships) and self.independent_mod_image and self.count_matches
 
 
-def validate_basis(
-    vectors, groups: CohomologyGroups, degree: int, *, p: int
-) -> BasisValidation:
-    """Check listed vectors against H^degree of ``groups``, the cohomology
-    of a module over Z/p: each in the kernel, jointly independent modulo
-    the image, and as many as the dimension.  Nothing is eliminated again
-    but the listed vectors together with the image."""
+def validate_basis(vectors, groups: CohomologyGroups, degree: int) -> BasisValidation:
+    """Check listed vectors against H^degree of ``groups``, over the Z/p
+    the groups were computed over: each in the kernel, jointly independent
+    modulo the image, and as many as the dimension.  Nothing is eliminated
+    again but the listed vectors together with the image."""
     if degree not in (1, 2):
         raise ValueError("degree must be 1 or 2")
-    report = groups.h1 if degree == 1 else groups.h2
+    p, report = groups.p, groups.h1 if degree == 1 else groups.h2
     if any(len(v) != report.ambient_dim for v in vectors):
         raise ValueError("vector length does not match row count")
     image = fp_linalg._sparse(p, report.image_basis)

@@ -2,7 +2,7 @@
 
 
 class ArityMismatch(ValueError):
-    """Operands live in group rings with different exponent or arity."""
+    """Operands or tables do not fit one group ring's exponent and arity."""
 
 
 class ModulusMismatch(ValueError):
@@ -22,7 +22,7 @@ class NotSquare(ValueError):
 
 
 class ContainmentViolation(ValueError):
-    """Subquotient input where the image is not contained in the kernel."""
+    """The image of one differential does not lie in the kernel of the next."""
 
 
 class InvalidAction(ValueError):

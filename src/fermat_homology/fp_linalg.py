@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 
 from ._value import frozen
-from .errors import ContainmentViolation, NotSquare
+from .errors import NotSquare
 from .scalars import is_prime
 
 Vector = tuple[int, ...]
@@ -315,7 +315,7 @@ def _subquotient(
 ) -> SubquotientReport:
     """Report for span(kernel) / span(image), both given as sparse RREF
     bases, which are used as they are; the image must lie in the kernel
-    span, which the callers check.
+    span, which ``cohomology.h_groups`` checks.
 
     The coset basis is the RREF of the kernel rows reduced against the
     image, and it needs no reduction: the leading column of an image
@@ -335,24 +335,6 @@ def _subquotient(
         image_basis=_dense(image, ambient_dim),
         coset_basis=_dense(coset, ambient_dim),
     )
-
-
-def subquotient(kernel_gens, image_gens, *, p: int, ambient_dim: int) -> SubquotientReport:
-    """Canonical bases for span(kernel_gens) / span(image_gens), both sets
-    of vectors of length ``ambient_dim``.
-
-    Raises ContainmentViolation unless span(image_gens) lies inside
-    span(kernel_gens); inputs violating that signal a broken complex.
-    """
-    kernel_gens, image_gens = list(kernel_gens), list(image_gens)
-    if any(len(v) != ambient_dim for v in kernel_gens + image_gens):
-        raise ValueError("generator length does not match ambient_dim")
-    kernel = _rref(p, _sparse(p, kernel_gens))[0]
-    image = _rref(p, _sparse(p, image_gens))[0]
-    kernel_rows = {min(row): row for row in kernel}
-    if any(_reduce(p, row, kernel_rows) for row in image):
-        raise ContainmentViolation("image generators do not lie in the kernel span")
-    return _subquotient(p, ambient_dim, kernel, image)
 
 
 def exterior_square(m: FpMatrix) -> FpMatrix:

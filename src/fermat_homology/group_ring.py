@@ -67,6 +67,9 @@ class GroupRingElement:
     coeffs: tuple
 
     def __post_init__(self):
+        size = self.n ** (self.m + 1)
+        if len(self.coeffs) != size:
+            raise ArityMismatch(f"expected {size} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "coeffs", tuple(map(self.ring.reduce, self.coeffs)))
 
     # -- constructors -------------------------------------------------
@@ -90,9 +93,8 @@ class GroupRingElement:
         for exps, c in coeffs.items():
             if len(exps) != m + 1:
                 raise ArityMismatch(f"expected {m + 1} exponents, got {len(exps)}")
-            value = ring.lift_int(c) if isinstance(c, int) else c
             idx = _pack(n, tuple(exps))
-            table[idx] = ring.add(table[idx], value)
+            table[idx] = ring.add(table[idx], ring.reduce(c))
         return cls(n, m, ring, tuple(table))
 
     @classmethod
@@ -156,7 +158,7 @@ class GroupRingElement:
     def __neg__(self) -> "GroupRingElement":
         ring = self.ring
         return GroupRingElement(
-            self.n, self.m, ring, tuple(ring.neg(a) for a in self.coeffs)
+            self.n, self.m, ring, tuple(ring.sub(ring.zero, a) for a in self.coeffs)
         )
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
@@ -176,7 +178,7 @@ class GroupRingElement:
 
     def scale(self, c) -> "GroupRingElement":
         ring = self.ring
-        value = ring.lift_int(c) if isinstance(c, int) else c
+        value = ring.reduce(c)
         return GroupRingElement(
             self.n, self.m, ring, tuple(ring.mul(value, a) for a in self.coeffs)
         )
@@ -211,7 +213,7 @@ class GroupRingElement:
         """Coefficient of dlog e_k in the canonical derivation d."""
         ring = self.ring
         out = [
-            ring.scale_int(exps[k], c)
+            ring.mul(ring.reduce(exps[k]), c)
             for exps, c in zip(product(range(self.n), repeat=self.m + 1), self.coeffs)
         ]
         return GroupRingElement(self.n, self.m, ring, tuple(out))
@@ -297,7 +299,7 @@ def invert(u: GroupRingElement) -> GroupRingElement:
     return to 1, and cycle detection rejects non-units.
     """
     ring, n = u.ring, u.n
-    if getattr(ring, "is_field", False) and ring.char == n:
+    if ring.is_field and ring.char == n:
         eps = augmentation(u)
         if eps == ring.zero:
             raise NotAUnit("element is not invertible")

@@ -34,7 +34,6 @@ from .bsigma import (
     VerificationReport,
     b_map_analysis,
     bsigma_p3,
-    bsigma_p3_from_psi,
     gamma_oracle_p3,
     prime_field_image,
     verify_bsigma,
@@ -50,7 +49,7 @@ from .cohomology import (
 )
 from .cyclotomic import verify_cyclotomic_identities
 from .fp_linalg import FpMatrix
-from .galois_kummer import KummerCoordinates, psi_from_kummer
+from .galois_kummer import KummerCoordinates, group_elements, psi_from_kummer
 from .group_ring import (
     GroupRingElement,
     annihilator,
@@ -139,7 +138,7 @@ class Check:
 
 
 def _gamma_closed_form(run: RunInputs) -> bool:
-    expected = {(c1, c2): bsigma_p3_from_psi(c1, c2) for c1 in range(3) for c2 in range(3)}
+    expected = {psi_from_kummer(g).entries: bsigma_p3(*g.c) for g in group_elements(3)}
     return all(
         prime_field_image(d_prime(gamma)) == expected[c1, c2] for c1, c2, _, gamma in run.gammas
     )
@@ -150,7 +149,7 @@ def _gamma_dlog_coset(run: RunInputs) -> bool:
     return all(
         dlog(gamma).components[0]
         == GroupRingElement.from_dict(
-            3, 0, {(0,): alpha, (1,): GF27.lift_int(c1), (2,): GF27.lift_int(c2)}, ring=GF27
+            3, 0, {(0,): alpha, (1,): GF27.reduce(c1), (2,): GF27.reduce(c2)}, ring=GF27
         )
         for c1, c2, alpha, gamma in run.gammas
     )
@@ -212,7 +211,7 @@ def _listed_image(run: RunInputs) -> tuple[bool, str]:
 def _listed_h1_lambda1(run: RunInputs) -> tuple[bool, str, str]:
     tables = run.tables
     misprint = tables.h1_lambda1_misprint()
-    val = validate_basis(tables.vectors("h1_lambda1"), run.lambda1_groups, 1, p=3)
+    val = validate_basis(tables.vectors("h1_lambda1"), run.lambda1_groups, 1)
     return val.all_pass, "", (
         f"entry {misprint['index'] + 1} printed as '{misprint['printed']}' "
         f"is read as '{misprint['reading']}'"
@@ -220,8 +219,8 @@ def _listed_h1_lambda1(run: RunInputs) -> tuple[bool, str, str]:
 
 
 def _listed_h1_h1u(run: RunInputs) -> tuple[bool, str]:
-    val = validate_basis(run.tables.vectors("h1_h1u"), run.h1u_groups, 1, p=3)
-    corrected = validate_basis(run.tables.read_vectors("h1_h1u"), run.h1u_groups, 1, p=3)
+    val = validate_basis(run.tables.vectors("h1_h1u"), run.h1u_groups, 1)
+    corrected = validate_basis(run.tables.read_vectors("h1_h1u"), run.h1u_groups, 1)
     failing = [i + 1 for i, ok in enumerate(val.memberships) if not ok]
     return val.all_pass, (
         f"entries {failing} have nonzero coboundary; replacing the "
@@ -322,12 +321,11 @@ CHECKS = (
           _listed_h1_lambda1),
     Check("c08.h2-lambda1", "listed degree-2 basis over the group ring validates",
           lambda run: validate_basis(
-              run.tables.vectors("h2_lambda1"), run.lambda1_groups, 2, p=3).all_pass),
+              run.tables.vectors("h2_lambda1"), run.lambda1_groups, 2).all_pass),
     Check("c08.h1-h1u", "listed degree-1 basis over affine homology validates",
           _listed_h1_h1u),
     Check("c08.h2-h1u", "listed degree-2 basis over affine homology validates",
-          lambda run: validate_basis(
-              run.tables.vectors("h2_h1u"), run.h1u_groups, 2, p=3).all_pass),
+          lambda run: validate_basis(run.tables.vectors("h2_h1u"), run.h1u_groups, 2).all_pass),
     Check("c09.tau-norm", "annihilator of the tau norm is everything",
           lambda run: len(annihilator(_norm(bsigma_p3(0, 1)))) == 9),
     Check("c09.sigma-norm", "annihilator of the sigma norm is the sum-zero hyperplane",

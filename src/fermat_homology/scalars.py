@@ -3,9 +3,12 @@
 Two domains are supported: the residue ring Z/n (elements are plain ints
 reduced into [0, n)) and a prime-power extension field F_{p^k} given by a
 fixed monic irreducible modulus (elements are coefficient tuples of length
-k, low degree first).  Both expose the same small interface so the group
-ring can stay agnostic about which one it is working over; ``reduce``
-maps any representative to the canonical form that elements compare in.
+k, low degree first).  Both expose the same four operations, ``add``,
+``sub``, ``mul`` and ``reduce``, with ``zero``, ``one``, ``is_field``,
+``char`` and ``size``, so the group ring can stay agnostic about which
+one it is working over.  ``reduce`` maps any representative to the
+canonical form that elements compare in, and reads an int c as the
+multiple c * 1 of the unit.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ def is_prime(n: int) -> bool:
 
 
 def _power(x, k: int, mul, one):
-    """x^k for k >= 0 by repeated squaring under ``mul``, starting from
-    ``one`` so that even x^1 is a product (and comes back normalized)."""
+    """x^k for k >= 0 by repeated squaring under ``mul``; k = 0 gives
+    ``one``.  Field scalars, group-ring elements and sparse matrices all
+    take their powers here."""
     result = one
     while k:
         if k & 1:
@@ -56,15 +60,6 @@ class Zmod:
 
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.n
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.n
-
-    def scale_int(self, k: int, a: int) -> int:
-        return (k * a) % self.n
-
-    def lift_int(self, c: int) -> int:
-        return c % self.n
 
     def reduce(self, a: int) -> int:
         return a % self.n
@@ -107,9 +102,6 @@ class PrimeExtensionField:
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
     def mul(self, a, b):
         k, p, modulus = self.degree, self.p, self.modulus
         prod = [0] * (2 * k - 1)
@@ -126,14 +118,10 @@ class PrimeExtensionField:
                     prod[d - k + i] -= c * modulus[i]
         return tuple(c % p for c in prod[:k])
 
-    def scale_int(self, k: int, a):
-        k %= self.p
-        return tuple((k * x) % self.p for x in a)
-
-    def lift_int(self, c: int):
-        return (c % self.p,) + (0,) * (self.degree - 1)
-
     def reduce(self, a):
+        """The canonical form of a coefficient tuple, or of the int a * 1."""
+        if isinstance(a, int):
+            return (a % self.p,) + self.zero[1:]
         return tuple(x % self.p for x in a)
 
     def to_prime_int(self, a):

@@ -8,7 +8,9 @@ from products in the group ring or with S1, read straight from the raw
 reference tables, group-ring products come from the double sum over
 pairs of group elements, products in F_p[t]/(f) come from long division
 by f, and row-vector products and reductions against an RREF basis are
-plain sums over the rows.
+plain sums over the rows.  A subquotient's cosets come from reducing
+each kernel vector against the image, not from the package's rule that
+keeps the kernel rows off the image pivots.
 
 Three oracles use nothing of the package at all.  ``dense_complex``
 writes the total complex of a module out over plain lists, block by
@@ -25,6 +27,7 @@ import cmath
 import itertools
 import re
 
+from fermat_homology.fp_linalg import SubquotientReport, row_space_basis
 from fermat_homology.scalars import Zmod
 
 
@@ -68,6 +71,16 @@ def rref_residue(p: int, v, basis) -> tuple[int, ...]:
         c = v[next(j for j, x in enumerate(b) if x)]
         out = [x - c * y for x, y in zip(out, b)]
     return tuple(x % p for x in out)
+
+
+def residue_subquotient(p: int, ambient_dim: int, kernel, image):
+    """span(kernel) / span(image) for RREF bases, by reduction: each kernel
+    vector is reduced against the image basis, and the cosets are the RREF
+    of the nonzero residues."""
+    assert not any(any(rref_residue(p, v, kernel)) for v in image)
+    residues = [rref_residue(p, v, image) for v in kernel]
+    cosets = row_space_basis(p, [r for r in residues if any(r)])
+    return SubquotientReport(ambient_dim, tuple(kernel), tuple(image), tuple(cosets))
 
 
 def bar_cohomology_trivial(p: int) -> tuple[int, int]:

@@ -16,7 +16,6 @@ from fermat_homology import fp_linalg as fl
 from fermat_homology.bsigma import (
     b_map_analysis,
     bsigma_p3,
-    bsigma_p3_from_psi,
     gamma_oracle_p3,
     prime_field_image,
     verify_bsigma,
@@ -83,25 +82,25 @@ def test_c02_structural_facts():
 
 
 def test_c03_oracle_equivalence():
-    for c1 in range(3):
-        for c2 in range(3):
-            closed_form = bsigma_p3_from_psi(c1, c2)
-            psi_elt = GroupRingElement.from_dict(
-                3,
-                0,
-                {(1,): GF27.lift_int(c1), (2,): GF27.lift_int(c2)},
-                ring=GF27,
-            )
-            pairs = gamma_oracle_p3(c1, c2)
-            assert len(pairs) == 3
-            for alpha, gamma in pairs:
-                collapsed = prime_field_image(d_prime(gamma))
-                assert collapsed == closed_form, (c1, c2, alpha)
-                assert augmentation(gamma) == GF27.one
-                residue = dlog(gamma).components[0] - psi_elt
-                assert all(
-                    residue.coeff(k) == GF27.zero for k in range(1, 3)
-                ), "difference must be constant in the group-ring variable"
+    for g in group_elements(3):
+        closed_form = bsigma_p3(*g.c)
+        c1, c2 = psi_from_kummer(g).entries
+        psi_elt = GroupRingElement.from_dict(
+            3,
+            0,
+            {(1,): GF27.reduce(c1), (2,): GF27.reduce(c2)},
+            ring=GF27,
+        )
+        pairs = gamma_oracle_p3(c1, c2)
+        assert len(pairs) == 3
+        for alpha, gamma in pairs:
+            collapsed = prime_field_image(d_prime(gamma))
+            assert collapsed == closed_form, (c1, c2, alpha)
+            assert augmentation(gamma) == GF27.one
+            residue = dlog(gamma).components[0] - psi_elt
+            assert all(
+                residue.coeff(k) == GF27.zero for k in range(1, 3)
+            ), "difference must be constant in the group-ring variable"
     _report(3, "gamma oracle equivalence, coefficient sums and dlog cosets")
 
 
@@ -218,7 +217,7 @@ def _listed_entries_hold(tables, key, mod, degree, as_basis) -> bool:
     ok = ok and all(confirmed)
     read = tables.read_vectors(key)
     if as_basis:
-        return ok and validate_basis(read, h_groups(mod), degree, p=mod.p).all_pass
+        return ok and validate_basis(read, h_groups(mod), degree).all_pass
     return ok and len(fl.row_space_basis(mod.p, read)) == len(read)
 
 

@@ -8,14 +8,13 @@ from fermat_homology.bsigma import (
     b_map_analysis,
     bsigma,
     bsigma_p3,
-    bsigma_p3_from_psi,
     gamma_oracle_p3,
     in_augmentation_ideal,
     prime_field_image,
     verify_bsigma,
 )
 from fermat_homology.errors import UnsupportedExponent
-from fermat_homology.galois_kummer import KummerCoordinates, psi_from_kummer
+from fermat_homology.galois_kummer import KummerCoordinates, group_elements, psi_from_kummer
 from fermat_homology.group_ring import (
     GroupRingElement,
     augmentation,
@@ -54,9 +53,15 @@ def test_second_generator_expansion():
 
 
 def test_parametrizations_agree():
-    for c1 in range(3):
-        for c2 in range(3):
-            assert bsigma_p3_from_psi(c1, c2) == bsigma_p3((c2 - c1) % 3, c1)
+    """The gamma route from psi coordinates gives the closed form at the
+    Kummer coordinates, through the package's Kummer-to-psi map, which
+    reaches every psi vector."""
+    elements = group_elements(3)
+    psis = sorted(psi_from_kummer(g).entries for g in elements)
+    assert psis == list(itertools.product(range(3), repeat=2))
+    for g in elements:
+        for alpha, gamma in gamma_oracle_p3(*psi_from_kummer(g).entries):
+            assert prime_field_image(d_prime(gamma)) == bsigma_p3(*g.c), (g.c, alpha)
 
 
 def test_only_exponent_three_supported():
@@ -232,7 +237,7 @@ def test_gamma_oracle_returns_every_root_of_the_cubic():
     scan = [tuple(reversed(t)) for t in itertools.product(range(3), repeat=3)]
     for c1 in range(3):
         for c2 in range(3):
-            c = GF27.lift_int(c1 + c2)
+            c = GF27.reduce(c1 + c2)
             c_cubed = GF27.mul(GF27.mul(c, c), c)
             roots = [
                 a
@@ -243,13 +248,13 @@ def test_gamma_oracle_returns_every_root_of_the_cubic():
 
 
 def test_gamma_oracle_matches_closed_form_everywhere():
+    expected = {psi_from_kummer(g).entries: bsigma_p3(*g.c) for g in group_elements(3)}
     for c1 in range(3):
         for c2 in range(3):
-            expected = bsigma_p3_from_psi(c1, c2)
             for alpha, gamma in gamma_oracle_p3(c1, c2):
                 collapsed = prime_field_image(d_prime(gamma))
                 assert collapsed is not None, (c1, c2, alpha)
-                assert collapsed == expected
+                assert collapsed == expected[c1, c2]
 
 
 def test_gamma_coefficient_sum_is_one():
@@ -268,7 +273,7 @@ def test_dlog_of_gamma_represents_the_coset():
             psi_elt = GroupRingElement.from_dict(
                 3,
                 0,
-                {(1,): GF27.lift_int(c1), (2,): GF27.lift_int(c2)},
+                {(1,): GF27.reduce(c1), (2,): GF27.reduce(c2)},
                 ring=GF27,
             )
             for alpha, gamma in gamma_oracle_p3(c1, c2):

@@ -34,6 +34,7 @@ from oracles import (
     degree_one_coboundary,
     dense_complex,
     row_times,
+    residue_subquotient,
     rref_residue,
     solve,
 )
@@ -149,16 +150,6 @@ def test_order_check_at_its_boundary(p):
         GModule(p, p, singular, fl.FpMatrix.identity(p, p))
 
 
-def residue_subquotient(p, ambient_dim, kernel, image):
-    """span(kernel) / span(image) by reduction: each kernel vector is
-    reduced against the image basis, and the cosets are the RREF of the
-    nonzero residues."""
-    assert not any(any(rref_residue(p, v, kernel)) for v in image)
-    residues = [rref_residue(p, v, image) for v in kernel]
-    cosets = fl.row_space_basis(p, [r for r in residues if any(r)])
-    return fl.SubquotientReport(ambient_dim, tuple(kernel), tuple(image), tuple(cosets))
-
-
 def reference_h_groups(mod):
     """The cohomology as a composition of the public dense functions on
     the matrices of the oracle `dense_complex`, with the cosets taken by
@@ -173,7 +164,7 @@ def reference_h_groups(mod):
     h2 = residue_subquotient(
         p, 3 * dim, fl.kernel_basis(z), fl.row_space_basis(p, y.entries)
     )
-    return CohomologyGroups(h0, h1, h2)
+    return CohomologyGroups(p, h0, h1, h2)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
@@ -188,6 +179,27 @@ def test_h_groups_matches_the_public_functions_on_the_paper_modules():
     for build in (lambda1_module, h1u_module, h1x_module, wedge_module):
         mod = build()
         assert h_groups(mod) == reference_h_groups(mod)
+
+
+def test_h_groups_records_the_prime_of_the_module():
+    for build in (lambda1_module, h1u_module, h1x_module, wedge_module):
+        mod = build()
+        assert h_groups(mod).p == mod.p == 3
+    mod = random_commuting_module(random.Random("record-p/5"), p=5)
+    assert h_groups(mod).p == 5
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_validate_basis_reads_the_prime_from_the_groups(p):
+    """The plain sum of two kernel vectors has entries up to 2(p - 1), so
+    it is a cocycle only when read modulo the p of the groups."""
+    rng = random.Random(f"wrap/{p}")
+    groups = h_groups(lambda1_module() if p == 3 else random_commuting_module(rng, p=p))
+    pairs = itertools.combinations(groups.h1.kernel_basis, 2)
+    sums = [tuple(x + y for x, y in zip(u, v)) for u, v in pairs]
+    wrapping = [v for v in sums if max(v) >= p]
+    assert wrapping
+    assert validate_basis(wrapping, groups, 1).memberships == (True,) * len(wrapping)
 
 
 def assert_differential_matches_the_dense_oracle(mod, top=4):
@@ -274,7 +286,7 @@ def test_a_broken_complex_raises_containment_violation(monkeypatch, build, degre
     with pytest.raises(ContainmentViolation, match=message):
         h_groups(mod)
     with pytest.raises(ContainmentViolation, match=message):
-        validate_basis([], h_groups(mod), degree, p=mod.p)
+        validate_basis([], h_groups(mod), degree)
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_norm_equals_the_sum_of_powers(p):
@@ -457,10 +469,10 @@ def test_annihilators_match_ideal_descriptions():
 def test_listed_bases_for_the_group_ring_validate():
     tables = load_tables()
     groups = h_groups(lambda1_module())
-    degree_one = validate_basis(tables.vectors("h1_lambda1"), groups, 1, p=3)
+    degree_one = validate_basis(tables.vectors("h1_lambda1"), groups, 1)
     assert degree_one.all_pass
     assert degree_one.expected_dim == 9
-    degree_two = validate_basis(tables.vectors("h2_lambda1"), groups, 2, p=3)
+    degree_two = validate_basis(tables.vectors("h2_lambda1"), groups, 2)
     assert degree_two.all_pass
     assert degree_two.expected_dim == 13
 
@@ -479,15 +491,15 @@ def test_listed_degree_one_affine_basis_status():
     sign-corrected readings give a valid basis."""
     tables = load_tables()
     groups = h_groups(h1u_module())
-    val = validate_basis(tables.vectors("h1_h1u"), groups, 1, p=3)
+    val = validate_basis(tables.vectors("h1_h1u"), groups, 1)
     assert val.memberships == (True, True, True, True, False, False)
     assert [f.index for f in tables.findings("h1_h1u")] == [4, 5]
-    assert validate_basis(tables.read_vectors("h1_h1u"), groups, 1, p=3).all_pass
+    assert validate_basis(tables.read_vectors("h1_h1u"), groups, 1).all_pass
 
 
 def test_listed_degree_two_affine_basis_validates():
     tables = load_tables()
-    assert validate_basis(tables.vectors("h2_h1u"), h_groups(h1u_module()), 2, p=3).all_pass
+    assert validate_basis(tables.vectors("h2_h1u"), h_groups(h1u_module()), 2).all_pass
 
 
 def test_listed_kernel_and_image_vectors_status():

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from fermat_homology.bsigma import bsigma_p3, bsigma_p3_from_psi, gamma_oracle_p3
+from fermat_homology.bsigma import bsigma_p3, gamma_oracle_p3, prime_field_image
 from fermat_homology.errors import ArityMismatch, NotAUnit, NotSymmetric
+from fermat_homology.galois_kummer import KummerCoordinates, psi_from_kummer
 from fermat_homology.group_ring import (
     DifferentialElement,
     GroupRingElement,
@@ -48,7 +49,9 @@ def test_b_product_matches_closed_form_both_ways():
     b_tau = bsigma_p3(0, 1)
     by_convolution = b_sigma * b_tau
     assert by_convolution == bsigma_p3(1, 1)
-    assert by_convolution == bsigma_p3_from_psi(1, 2)
+    # the gamma route, from the psi vector of the Kummer coordinates (1, 1)
+    for _, gamma in gamma_oracle_p3(*psi_from_kummer(KummerCoordinates(3, (1, 1))).entries):
+        assert by_convolution == prime_field_image(d_prime(gamma))
 
 
 def test_b_tau_has_order_three():
@@ -207,6 +210,46 @@ def test_differential_component_count_enforced():
 def test_mixed_arity_rejected():
     with pytest.raises(ArityMismatch):
         eps(3, 0, 0) * eps(3, 1, 0)
+
+
+RINGS = {"Z/3": Zmod(3), "Z/4": Zmod(4), "Z/5": Zmod(5), "F_27": GF27}
+
+
+@pytest.mark.parametrize("name", ("Z/3", "Z/4", "F_27"))
+@pytest.mark.parametrize("m", (0, 1, 2))
+def test_a_table_of_the_wrong_length_is_rejected(name, m):
+    ring = RINGS[name]
+    n = ring.char or ring.n
+    size = n ** (m + 1)
+    for length in sorted({0, 1, n, size - 1, size + 1, n * size} - {size}):
+        message = f"^expected {size} coefficients, got {length}$"
+        with pytest.raises(ArityMismatch, match=message):
+            GroupRingElement(n, m, ring, (ring.one,) * length)
+
+
+@pytest.mark.parametrize("name", ("Z/4", "Z/5", "F_27"))
+@pytest.mark.parametrize("m", (0, 1, 2))
+def test_negation_and_derivative_of_unreduced_tables_are_cellwise(name, m):
+    """-x and the coefficient of dlog e_k against k * c taken cell by cell
+    over plain integers: on the cell over Z/n, on each coordinate over F_27."""
+    ring = RINGS[name]
+    n = ring.char or ring.n
+    exps = list(itertools.product(range(n), repeat=m + 1))
+    rng = random.Random(f"cellwise/{name}/{m}")
+
+    def times(k, c):
+        return tuple(k * x % n for x in c) if ring == GF27 else k * c % n
+
+    for _ in range(5):
+        if ring == GF27:
+            table = [tuple(rng.randrange(-2 * n, 2 * n) for _ in range(3)) for _ in exps]
+        else:
+            table = [rng.randrange(-2 * n, 2 * n) for _ in exps]
+        x = GroupRingElement(n, m, ring, tuple(table))
+        assert (-x).coeffs == tuple(times(-1, c) for c in table)
+        for k in range(m + 1):
+            derivative = tuple(times(e[k], c) for e, c in zip(exps, table))
+            assert x.derivative(k).coeffs == derivative, k
 
 
 def test_multiplication_matrix_row_action():
@@ -389,7 +432,7 @@ def test_unit_times_inverse_is_one_over_f27(arity):
             rest = GF27.add(rest, c)
         if trial == 0:
             # augmentation zero: not a unit
-            table[0] = GF27.neg(rest)
+            table[0] = GF27.sub(GF27.zero, rest)
             with pytest.raises(NotAUnit):
                 invert(GroupRingElement(3, arity - 1, GF27, tuple(table)))
             continue

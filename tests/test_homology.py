@@ -16,7 +16,7 @@ from fermat_homology.homology import (
 )
 from fermat_homology.reference_tables import load_tables
 from fermat_homology.scalars import GF27, Zmod
-from oracles import solve
+from oracles import residue_subquotient, solve
 
 
 def monomial_class(n, i, j):
@@ -136,11 +136,11 @@ def test_quotient_representatives_certificate():
 def test_quotient_agrees_with_field_subquotient_for_primes():
     for n in (3, 5, 7):
         mine = h1X_subquotient(n)
-        field = fl.subquotient(
-            [rc.vector() for rc in h1U_basis(n)],
-            [rc.vector() for rc in stab_basis(n)],
-            p=n,
-            ambient_dim=n * n,
+        field = residue_subquotient(
+            n,
+            n * n,
+            fl.row_space_basis(n, [rc.vector() for rc in h1U_basis(n)]),
+            fl.row_space_basis(n, [rc.vector() for rc in stab_basis(n)]),
         )
         assert mine.dim == field.dim
         joint = fl.row_space_basis(

@@ -17,6 +17,18 @@ FIELDS = {
 }
 
 
+@pytest.mark.parametrize("name", ["GF27", *sorted(FIELDS)])
+def test_reduce_reads_ints_as_multiples_of_one_and_tuples_coordinatewise(name):
+    field = FIELDS.get(name, GF27)
+    p, k = field.p, field.degree
+    for c in range(-2 * p, 2 * p + 1):
+        assert field.reduce(c) == (c % p,) + (0,) * (k - 1), c
+    rng = random.Random(f"reduce/{name}")
+    for _ in range(200):
+        a = tuple(rng.randrange(-2 * p, 2 * p + 1) for _ in range(k))
+        assert field.reduce(a) == tuple(x % p for x in a), a
+
+
 def test_every_product_in_f27_matches_long_division():
     elements = list(itertools.product(range(3), repeat=3))
     for a, b in itertools.product(elements, repeat=2):

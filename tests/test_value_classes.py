@@ -53,8 +53,8 @@ def _cases():
          (4, 5, (True,), ("r",), True), (4, 5, (True,), ("r",), False)),
         (GModule, ("p", "dim", "act_sigma", "act_tau"),
          (3, 2, identity, identity), (3, 2, identity, shear)),
-        (CohomologyGroups, ("h0", "h1", "h2"),
-         (_report(1), _report(1), _report(1)), (_report(1), _report(1), _report(0))),
+        (CohomologyGroups, ("p", "h0", "h1", "h2"),
+         (3, _report(1), _report(1), _report(1)), (3, _report(1), _report(1), _report(0))),
         (BasisValidation,
          ("memberships", "independent_mod_image", "count_matches", "expected_dim"),
          ((True, True), True, True, 2), ((True, True), True, True, 3)),
