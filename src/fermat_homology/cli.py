@@ -1,19 +1,25 @@
 """Batch command-line front end.
 
 Subcommands: bsigma, psi, homology, cohomology, cyclotomic and
-reproduce-paper.  Text output is deterministic; --json switches every
-subcommand to machine-readable output.  The bsigma payload and the input
-of the psi payload read back through the library's deserializers; the
-other payloads are reports for reading only.  Exit codes: 0 on success
-(and when every check passes), 1 when a requested check fails, 2 on usage
-errors, including inputs the library rejects, which print one line to
-stderr.
+reproduce-paper.  Each returns its JSON payload, its text lines and its
+exit code, and ``main`` prints one of the two forms once the command has
+finished: --json switches every subcommand to machine-readable output,
+and only text mode consumes the lines.  Text output is deterministic.
+The bsigma payload and the input of the psi payload read back through the
+library's deserializers; the other payloads are reports for reading only.
+Exit codes: 0 on success (and when every check passes), 1 when a
+requested check fails, 2 on usage errors, including inputs the library
+rejects, which print one line to stderr.  When the reader closes the pipe
+early, the command prints nothing more, not even to stderr, and keeps its
+exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 
 from . import cohomology as cohomology_mod
@@ -29,80 +35,62 @@ from .reproduction import (
     run_checks,
     run_reproduction,
 )
-from .scalars import Zmod
 
 
-def _print_grid(element: GroupRingElement) -> None:
-    for row in element.grid():
-        print(" ".join(str(x) for x in row))
+def _grid_lines(n, coeffs):
+    """The n x n coefficient grid of a two-variable element, a row a line."""
+    return (" ".join(str(x) for x in coeffs[i : i + n]) for i in range(0, n * n, n))
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _status_lines(rows):
+    return [f"{'PASS' if ok else 'FAIL'}  {label}" for ok, label in rows]
 
 
-def _emit_scorecard(results, as_json: bool) -> int:
-    """Print scorecard rows as text or JSON; exit code 1 if any row fails."""
-    if as_json:
-        _emit_json(
-            [
-                {"name": r.name, "passed": r.passed, "detail": r.detail, "flag": r.flag}
-                for r in results
-            ]
-        )
-    else:
-        print(format_results(results))
-    return 0 if all(r.passed for r in results) else 1
+def _scorecard(results):
+    """Scorecard rows as JSON and text; exit code 1 if any row fails."""
+    payload = [
+        {"name": r.name, "passed": r.passed, "detail": r.detail, "flag": r.flag}
+        for r in results
+    ]
+    return payload, [format_results(results)], 0 if all(r.passed for r in results) else 1
 
 
-def _run_bsigma(args) -> int:
+def _run_bsigma(args):
     element = bsigma(args.p, (args.c0, args.c1))
-    if args.verify_all:
-        run = RunInputs()
-        (oracle,) = run_checks(["c03.gamma-closed-form"], run)
-        structural, linear = run.structural, run.b_map
-        if args.json:
-            _emit_json(
-                {
-                    "structural": {
-                        f"({c0},{c1})": rep.to_json() for (c0, c1), rep in structural.items()
-                    },
-                    "oracle_equivalence": oracle.passed,
-                    "linear_structure": linear.to_json(),
-                }
-            )
-        else:
-            for (c0, c1), rep in structural.items():
-                status = "PASS" if rep.all_pass else "FAIL"
-                print(f"{status}  structural facts at ({c0},{c1})")
-            print(f"{'PASS' if oracle.passed else 'FAIL'}  gamma oracle equivalence")
-            print(f"{'PASS' if linear.all_pass else 'FAIL'}  linear structure of the B-map")
-        ok = all(rep.all_pass for rep in structural.values())
-        return 0 if ok and oracle.passed and linear.all_pass else 1
-    if args.json:
-        _emit_json(element.to_json())
-    else:
-        _print_grid(element)
-    return 0
+    if not args.verify_all:
+        return element.to_json(), _grid_lines(element.n, element.coeffs), 0
+    run = RunInputs()
+    (oracle,) = run_checks(["c03.gamma-closed-form"], run)
+    structural = {f"({c0},{c1})": rep for (c0, c1), rep in run.structural.items()}
+    linear = run.b_map
+    payload = {
+        "structural": {point: rep.to_json() for point, rep in structural.items()},
+        "oracle_equivalence": oracle.passed,
+        "linear_structure": linear.to_json(),
+    }
+    rows = [(rep.all_pass, f"structural facts at {point}") for point, rep in structural.items()]
+    rows.append((oracle.passed, "gamma oracle equivalence"))
+    rows.append((linear.all_pass, "linear structure of the B-map"))
+    return payload, _status_lines(rows), 0 if all(ok for ok, _ in rows) else 1
 
 
-def _run_psi(args) -> int:
+def _run_psi(args):
     coords = tuple(int(x) for x in args.coords.split(","))
     k = KummerCoordinates(args.p, coords)
     psi = psi_from_kummer(k)
-    if args.json:
-        _emit_json({"input": k.to_json(), "psi": psi.to_json(), "sum": coordinate_sum(psi)})
-    else:
-        print(" ".join(str(x) for x in psi.entries))
-        print(f"coordinate sum: {coordinate_sum(psi)}")
-    return 0
+    total = coordinate_sum(psi)
+    lines = [" ".join(str(x) for x in psi.entries), f"coordinate sum: {total}"]
+    return {"input": k.to_json(), "psi": psi.to_json(), "sum": total}, lines, 0
 
 
-def _grids_payload(classes) -> list:
-    return [rc.grid() for rc in classes]
+def _dimension_lines(n, vectors):
+    yield f"dimension {len(vectors)}"
+    for vec in vectors:
+        yield "--"
+        yield from _grid_lines(n, vec)
 
 
-def _run_homology(args) -> int:
+def _run_homology(args):
     n = args.n
     if n < 3:
         raise ValueError(f"exponent must be at least 3, got {n}")
@@ -110,40 +98,16 @@ def _run_homology(args) -> int:
         raise ValueError(f"n={n} exceeds the configured bound {MAX_P}")
     if args.which == "relative":
         generator = RelativeClass(GroupRingElement.one(n, 1))
-        payload = {
-            "which": "relative",
-            "n": n,
-            "rank": n * n,
-            "generator": generator.grid(),
-        }
-        if args.json:
-            _emit_json(payload)
-        else:
-            print(f"free of rank one over the group ring; additive rank {n * n}")
-            _print_grid(generator.w)
-        return 0
-    if args.which == "affine":
-        classes = h1U_basis(n)
-    elif args.which == "stab":
-        classes = stab_basis(n)
-    else:
+        payload = {"which": "relative", "n": n, "rank": n * n, "generator": generator.grid()}
+        header = f"free of rank one over the group ring; additive rank {n * n}"
+        return payload, itertools.chain([header], _grid_lines(n, generator.vector())), 0
+    if args.which == "projective":
         report = h1X_subquotient(n)
-        if args.json:
-            _emit_json({"which": "projective", "n": n, "report": report.to_json()})
-        else:
-            print(f"dimension {report.dim}")
-            for vec in report.coset_basis:
-                print("--")
-                _print_grid(GroupRingElement(n, 1, Zmod(n), tuple(vec)))
-        return 0
-    if args.json:
-        _emit_json({"which": args.which, "n": n, "classes": _grids_payload(classes)})
-    else:
-        print(f"dimension {len(classes)}")
-        for rc in classes:
-            print("--")
-            _print_grid(rc.w)
-    return 0
+        payload = {"which": "projective", "n": n, "report": report.to_json()}
+        return payload, _dimension_lines(n, report.coset_basis), 0
+    classes = (h1U_basis if args.which == "affine" else stab_basis)(n)
+    payload = {"which": args.which, "n": n, "classes": [rc.grid() for rc in classes]}
+    return payload, _dimension_lines(n, [rc.vector() for rc in classes]), 0
 
 
 _MODULE_BUILDERS = {
@@ -154,38 +118,31 @@ _MODULE_BUILDERS = {
 }
 
 
-def _run_cohomology(args) -> int:
+def _run_cohomology(args):
     if args.validate_paper:
-        listed = [check_id for check_id in CHECK_IDS if check_id.startswith("c08.")]
-        return _emit_scorecard(run_checks(listed), args.json)
-    builder = _MODULE_BUILDERS[args.module]
-    groups = cohomology_mod.h_groups(builder())
-    if args.json:
-        _emit_json({"module": args.module, "groups": groups.to_json()})
-    else:
-        print(f"module {args.module}: h0 = {groups.h0.dim}, h1 = {groups.h1.dim}, h2 = {groups.h2.dim}")
-        for label, report in (("h1", groups.h1), ("h2", groups.h2)):
-            print(f"{label} coset basis:")
-            for vec in report.coset_basis:
-                print("  " + " ".join(str(x) for x in vec))
-    return 0
+        return _scorecard(run_checks([c for c in CHECK_IDS if c.startswith("c08.")]))
+    groups = cohomology_mod.h_groups(_MODULE_BUILDERS[args.module]())
+    dims = f"h0 = {groups.h0.dim}, h1 = {groups.h1.dim}, h2 = {groups.h2.dim}"
+    lines = [f"module {args.module}: {dims}"]
+    for label, report in (("h1", groups.h1), ("h2", groups.h2)):
+        lines.append(f"{label} coset basis:")
+        lines += ("  " + " ".join(str(x) for x in vec) for vec in report.coset_basis)
+    return {"module": args.module, "groups": groups.to_json()}, lines, 0
 
 
-def _run_cyclotomic(args) -> int:
+def _run_cyclotomic(args):
     report = verify_cyclotomic_identities(args.p)
-    if args.json:
-        _emit_json(report.to_json())
-    else:
-        print(f"p = {args.p}")
-        print(f"{'PASS' if report.product_is_p else 'FAIL'}  product of 1 - zeta^i equals p")
-        print(f"{'PASS' if all(report.reflections) else 'FAIL'}  reflection identities")
-        print(f"{'PASS' if report.b_square else 'FAIL'}  half-product square identity")
-        print(f"{'PASS' if all(report.unit_norms) else 'FAIL'}  cyclotomic unit norms")
-    return 0 if report.all_pass else 1
+    rows = [
+        (report.product_is_p, "product of 1 - zeta^i equals p"),
+        (all(report.reflections), "reflection identities"),
+        (report.b_square, "half-product square identity"),
+        (all(report.unit_norms), "cyclotomic unit norms"),
+    ]
+    return report.to_json(), [f"p = {args.p}", *_status_lines(rows)], 0 if report.all_pass else 1
 
 
-def _run_reproduce(args) -> int:
-    return _emit_scorecard(run_reproduction(), args.json)
+def _run_reproduce(args):
+    return _scorecard(run_reproduction())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,10 +200,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, lines, code = args.func(args)
     except ValueError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    try:
+        for line in [json.dumps(payload, sort_keys=True)] if args.json else lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Python flushes stdout again at exit,
+        # so fd 1 is pointed at devnull to keep that flush from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -281,12 +281,7 @@ def swap_w(a: GroupRingElement) -> GroupRingElement:
     """The involution swapping the two variables of Lambda_1."""
     if a.m != 1:
         raise ArityMismatch("swap is defined on two-variable elements")
-    n = a.n
-    out = [a.ring.zero] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            out[j * n + i] = a.coeffs[i * n + j]
-    return GroupRingElement(n, 1, a.ring, tuple(out))
+    return a.substitute(1, ((1,), (0,)))
 
 
 def invert(u: GroupRingElement) -> GroupRingElement:

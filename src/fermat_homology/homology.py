@@ -150,7 +150,9 @@ def action_matrix(
 
     With ``modulo`` the images are reduced against those extra vectors
     first, giving the induced map on the quotient.  Raises NotInvariant
-    when an image leaves the allowed span.  Requires prime n.
+    when an image leaves the allowed span, and ArityMismatch when a basis
+    or modulo class differs from b in exponent, arity or ring.  Requires
+    prime n.
 
     Row i of the linear system is monomial i: it holds the i-th
     coefficient of each basis and modulo vector, then of each image b*W.
@@ -163,9 +165,10 @@ def action_matrix(
     n, size = b.n, len(basis)
     if not is_prime(n):
         raise ValueError(f"modulus must be prime, got {n}")
-    for rc in basis:
+    classes = [*basis, *(modulo or [])]
+    for rc in classes:
         b._check_compatible(rc.w)
-    vectors = fp_linalg._sparse(n, [rc.vector() for rc in [*basis, *(modulo or [])]])
+    vectors = fp_linalg._sparse(n, [rc.vector() for rc in classes])
     cols = len(vectors)
     rows: list[fp_linalg.SparseRow] = [{} for _ in range(n * n)]
     for k, v in enumerate(vectors):

@@ -13,6 +13,10 @@ from fermat_homology.bsigma import bsigma_p3
 from fermat_homology.cli import main
 from fermat_homology.group_ring import GroupRingElement
 
+# The CLI as a child process, importing the package under test.
+CHILD_CLI = [sys.executable, "-m", "fermat_homology.cli"]
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(fermat_homology.__file__).parents[1])}
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -223,14 +227,36 @@ def test_rejected_input_prints_one_line_and_exits_two(capsys, argv, message):
 def test_a_huge_exponent_is_rejected_before_any_trial_division(argv, message):
     """Run in a child process with a timeout: a primality test by trial
     division of these exponents would not return."""
-    src = str(pathlib.Path(fermat_homology.__file__).parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "fermat_homology.cli", *argv],
-        capture_output=True,
-        text=True,
-        timeout=10,
-        env={**os.environ, "PYTHONPATH": src},
+        [*CHILD_CLI, *argv], capture_output=True, text=True, timeout=10, env=CHILD_ENV
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"fermat-homology: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["reproduce-paper"], 1),
+        (["homology", "--n", "23", "--which", "projective", "--json"], 0),
+    ],
+    ids=("reproduce-paper", "homology-json"),
+)
+def test_a_closed_pipe_keeps_the_exit_code_and_prints_nothing(argv, code):
+    """The reader closes its end of stdout at once.  The second command
+    writes about 1.5 MB, far more than a pipe buffer holds."""
+    proc = subprocess.Popen(
+        [*CHILD_CLI, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=CHILD_ENV,
+    )
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+    assert err == ""
+    assert proc.returncode == code

@@ -281,6 +281,15 @@ def random_table(rng, ring, size):
     return tuple(rng.randrange(ring.n) for _ in range(size))
 
 
+@pytest.mark.parametrize("ring", [*(Zmod(n) for n in range(2, 8)), GF27], ids=repr)
+def test_swap_transposes_the_grid(ring):
+    n = 3 if ring == GF27 else ring.n
+    rng = random.Random(f"swap/{ring!r}")
+    for _ in range(5):
+        a = GroupRingElement(n, 1, ring, random_table(rng, ring, n * n))
+        assert swap_w(a).grid() == [list(column) for column in zip(*a.grid())]
+
+
 @pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
 @pytest.mark.parametrize("arity", (1, 2, 3))
 def test_product_matches_the_convolution_oracle_over_zmod(n, arity):

@@ -223,6 +223,16 @@ def test_action_matrix_rejects_non_invariant_span():
         action_matrix(bsigma_p3(1, 0), [h1U_basis(3)[0]])
 
 
+@pytest.mark.parametrize(
+    "w",
+    [GroupRingElement.one(2, 1), GroupRingElement.one(5, 1), GroupRingElement.one(3, 1, GF27)],
+    ids=("exponent-2", "exponent-5", "f27"),
+)
+def test_action_matrix_checks_the_modulo_classes(w):
+    with pytest.raises(ArityMismatch):
+        action_matrix(bsigma_p3(1, 0), h1U_basis(3), modulo=[RelativeClass(w)])
+
+
 def test_norm_identity_on_the_kernel():
     basis = h1U_basis(3)
     a = action_matrix(bsigma_p3(1, 0), basis)
