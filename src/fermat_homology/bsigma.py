@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from . import fp_linalg
 from ._value import frozen
-from .errors import NotAUnit, NotSymmetric, UnsupportedExponent
+from .errors import NotAUnit, NotSymmetric
 from .galois_kummer import group_elements
 from .group_ring import GroupRingElement, d_prime_prime, swap_w
 from .homology import RelativeClass, boundary_delta
@@ -44,14 +44,6 @@ def bsigma_p3(c0: int, c1: int) -> GroupRingElement:
         [b02, b12, b22],
     ]
     return GroupRingElement.from_grid(3, grid)
-
-
-def bsigma(p: int, coords) -> GroupRingElement:
-    """Extension point over the exponent; only p = 3 has a closed form."""
-    if p != 3:
-        raise UnsupportedExponent(f"B reconstruction is implemented for p=3, got p={p}")
-    c0, c1 = coords
-    return bsigma_p3(c0, c1)
 
 
 def gamma_oracle_p3(c1: int, c2: int) -> list[tuple[tuple, GroupRingElement]]:
@@ -181,15 +173,6 @@ class BMapReport:
     relations: tuple[bool, ...]
     relation_names: tuple[str, ...]
     image_shape_matches: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.image_dim == 4
-            and self.kernel_dim == 5
-            and all(self.relations)
-            and self.image_shape_matches
-        )
 
     def to_json(self) -> dict:
         return {

@@ -31,7 +31,3 @@ class InvalidAction(ValueError):
 
 class NotInvariant(ValueError):
     """Multiplication left the span of the supplied basis."""
-
-
-class UnsupportedExponent(ValueError):
-    """The requested exponent is outside the implemented range."""

@@ -360,10 +360,15 @@ def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:
 
 
 def ideal_span(generators: list[GroupRingElement]) -> list[tuple[int, ...]]:
-    """Canonical basis of the ideal generated by the given elements."""
+    """Canonical basis of the ideal generated by the given elements.
+
+    Raises ArityMismatch unless all generators share one exponent, arity
+    and ring.
+    """
     if not generators:
         return []
     rows = []
     for g in generators:
+        generators[0]._check_compatible(g)
         rows.extend(multiplication_matrix(g).entries)
     return row_space_basis(generators[0].n, rows)

@@ -33,16 +33,6 @@ class RelativeClass:
         if self.w.m != 1:
             raise ValueError("relative classes are two-variable elements")
 
-    @property
-    def n(self) -> int:
-        return self.w.n
-
-    def vector(self) -> tuple[int, ...]:
-        return self.w.coeffs
-
-    def grid(self) -> list[list[int]]:
-        return self.w.grid()
-
 
 @frozen
 class BoundaryClass:
@@ -57,8 +47,8 @@ class BoundaryClass:
 
 def boundary_delta(rc: RelativeClass) -> BoundaryClass:
     """Boundary of W * beta: sum a_ij (e_0^i + 0) - sum a_ij (0 + e_1^j)."""
-    n = rc.n
-    grid = rc.grid()
+    n = rc.w.n
+    grid = rc.w.grid()
     r = GroupRingElement.from_dict(n, 0, {(i,): sum(grid[i]) for i in range(n)})
     q = GroupRingElement.from_dict(
         n, 0, {(j,): -sum(grid[i][j] for i in range(n)) for j in range(n)}
@@ -126,10 +116,10 @@ def h1X_subquotient(n: int) -> fp_linalg.SubquotientReport:
     relations (each has unit coefficient there) shows these (n-1)(n-2)
     classes form a basis of the quotient over Z/n for every n.
     """
-    kernel = [rc.vector() for rc in h1U_basis(n)]
-    image = [rc.vector() for rc in stab_basis(n)]
+    kernel = [rc.w.coeffs for rc in h1U_basis(n)]
+    image = [rc.w.coeffs for rc in stab_basis(n)]
     coset = [
-        _corner_class(n, i, j).vector()
+        _corner_class(n, i, j).w.coeffs
         for i in range(n - 1)
         for j in range(1, n - 1)
     ]
@@ -168,7 +158,7 @@ def action_matrix(
     classes = [*basis, *(modulo or [])]
     for rc in classes:
         b._check_compatible(rc.w)
-    vectors = fp_linalg._sparse(n, [rc.vector() for rc in classes])
+    vectors = fp_linalg._sparse(n, [rc.w.coeffs for rc in classes])
     cols = len(vectors)
     rows: list[fp_linalg.SparseRow] = [{} for _ in range(n * n)]
     for k, v in enumerate(vectors):

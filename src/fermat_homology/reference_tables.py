@@ -29,7 +29,9 @@ from .group_ring import GroupRingElement
 from .homology import RelativeClass
 
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
-_VAR_RE = re.compile(r"([efv])\^?(\d*)")
+# A monomial term: sign, coefficient, then e/f factors such as e^2 or f2.
+_MONOMIAL_RE = re.compile(r"([+-]?)(\d*)((?:[ef]\^?\d*)*)")
+_VAR_RE = re.compile(r"([ef])\^?(\d*)")
 
 
 def parse_element(expr: str, n: int = 3) -> GroupRingElement:
@@ -39,16 +41,13 @@ def parse_element(expr: str, n: int = 3) -> GroupRingElement:
     if compact in ("", "0"):
         return GroupRingElement.zero(n, 1)
     for term in _TERM_RE.findall(compact):
-        sign = -1 if term.startswith("-") else 1
-        body = term.lstrip("+-")
-        match = re.match(r"^(\d*)", body)
-        digits = match.group(1)
-        coeff = sign * (int(digits) if digits else 1)
-        body = body[len(digits):]
+        match = _MONOMIAL_RE.fullmatch(term)
+        if not match:
+            raise ValueError(f"unexpected symbol in monomial expression: {term}")
+        sign, digits, monomial = match.groups()
+        coeff = (-1 if sign == "-" else 1) * (int(digits) if digits else 1)
         exps = {"e": 0, "f": 0}
-        for var, power in _VAR_RE.findall(body):
-            if var == "v":
-                raise ValueError(f"unexpected symbol in monomial expression: {term}")
+        for var, power in _VAR_RE.findall(monomial):
             exps[var] += int(power) if power else 1
         key = (exps["e"] % n, exps["f"] % n)
         coeffs[key] = coeffs.get(key, 0) + coeff

@@ -6,14 +6,12 @@ import pytest
 from fermat_homology import fp_linalg as fl
 from fermat_homology.bsigma import (
     b_map_analysis,
-    bsigma,
     bsigma_p3,
     gamma_oracle_p3,
     in_augmentation_ideal,
     prime_field_image,
     verify_bsigma,
 )
-from fermat_homology.errors import UnsupportedExponent
 from fermat_homology.galois_kummer import KummerCoordinates, group_elements, psi_from_kummer
 from fermat_homology.group_ring import (
     GroupRingElement,
@@ -62,11 +60,6 @@ def test_parametrizations_agree():
     for g in elements:
         for alpha, gamma in gamma_oracle_p3(*psi_from_kummer(g).entries):
             assert prime_field_image(d_prime(gamma)) == bsigma_p3(*g.c), (g.c, alpha)
-
-
-def test_only_exponent_three_supported():
-    with pytest.raises(UnsupportedExponent):
-        bsigma(5, (0, 0, 0))
 
 
 def test_structural_report_passes_for_all_pairs():
@@ -305,4 +298,3 @@ def test_b_map_linear_structure():
     assert report.kernel_dim == 5
     assert all(report.relations)
     assert report.image_shape_matches
-    assert report.all_pass

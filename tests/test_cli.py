@@ -9,7 +9,7 @@ import pytest
 
 import fermat_homology
 from fermat_homology import cohomology, reproduction
-from fermat_homology.bsigma import bsigma_p3
+from fermat_homology.bsigma import BMapReport, bsigma_p3
 from fermat_homology.cli import main
 from fermat_homology.group_ring import GroupRingElement
 
@@ -40,6 +40,17 @@ def test_bsigma_verify_all(capsys):
     code, out = run_cli(capsys, "bsigma", "--verify-all")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_bsigma_verify_all_fails_with_any_b_map_row(capsys, monkeypatch):
+    r = reproduction.b_map_analysis()
+    report = BMapReport(r.image_dim, 4, r.relations, r.relation_names, r.image_shape_matches)
+    monkeypatch.setattr(reproduction, "b_map_analysis", lambda: report)
+    code, out = run_cli(capsys, "bsigma", "--verify-all")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  linear structure of the B-map"
+    ]
 
 
 def test_psi_output(capsys):

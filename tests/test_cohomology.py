@@ -27,7 +27,7 @@ from fermat_homology.group_ring import (
     multiplication_matrix,
 )
 from fermat_homology.homology import action_matrix, h1U_basis
-from fermat_homology.reference_tables import ReferenceTables, load_tables
+from fermat_homology.reference_tables import ReferenceTables, load_tables, parse_element
 from oracles import (
     bar_cohomology_trivial,
     closure_rank,
@@ -70,6 +70,13 @@ def random_commuting_module(rng, p=3, dim=6):
     ident = fl.FpMatrix.identity(p, dim)
     act_a = ident + n_mat
     act_b = ident + n_mat.scale(rng.randrange(p)) + (n_mat @ n_mat).scale(rng.randrange(p))
+    return random_conjugate(rng, GModule(p, dim, act_a, act_b))
+
+
+def random_conjugate(rng, mod):
+    """The module in a random basis: both actions conjugated by one random
+    invertible matrix."""
+    p, dim = mod.p, mod.dim
     while True:
         cand = fl.FpMatrix.from_rows(
             p, [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
@@ -80,7 +87,7 @@ def random_commuting_module(rng, p=3, dim=6):
         solve(p, cand.entries, dim, [int(i == j) for i in range(dim)]) for j in range(dim)
     ]
     cand_inv = fl.FpMatrix.from_rows(p, list(zip(*inverse_cols)))
-    return GModule(p, dim, cand_inv @ act_a @ cand, cand_inv @ act_b @ cand)
+    return GModule(p, dim, cand_inv @ mod.act_sigma @ cand, cand_inv @ mod.act_tau @ cand)
 
 
 def test_gmodule_rejects_non_commuting_actions():
@@ -392,6 +399,16 @@ def test_natural_action_beyond_degree_two(p):
     assert dims_up_to(natural_module(p, "lambda1")) == (1, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("p", (5, 7))
+def test_cohomology_does_not_depend_on_the_basis(p):
+    """H1(U) under the natural action in a random basis, where the action
+    matrices have dense rows, has the cohomology of the natural basis."""
+    natural = natural_module(p, "h1u")
+    conjugated = random_conjugate(random.Random(f"basis/{p}"), natural)
+    assert conjugated != natural
+    assert h_groups(conjugated).dims() == h_groups(natural).dims() == (1, 2, 3)
+
+
 def test_paper_modules_beyond_degree_two():
     assert dims_up_to(lambda1_module()) == (5, 9, 13, 17, 21)
     assert dims_up_to(h1u_module()) == (3, 6, 9, 12, 15)
@@ -553,6 +570,19 @@ def test_recorded_findings_match_the_printed_lists():
     raw["findings"][1]["printed"] = ["0", "v2 + v4"]
     with pytest.raises(ValueError):
         ReferenceTables(raw).findings()
+
+
+@pytest.mark.parametrize("expr", ["x1", "e + y", "2w", "v1"])
+def test_a_monomial_expression_with_an_unknown_symbol_is_rejected(expr):
+    with pytest.raises(ValueError, match="^unexpected symbol in monomial expression: "):
+        parse_element(expr)
+
+
+def test_monomial_expressions_parse_factor_by_factor():
+    e, f = (GroupRingElement.monomial(3, 1, exps) for exps in ((1, 0), (0, 1)))
+    one = GroupRingElement.one(3, 1)
+    assert parse_element("1 - ef + 2e^2f2") == one - e * f + (e * e * f * f).scale(2)
+    assert parse_element("e^4 f") == e * f
 
 
 def test_results_are_deterministic():

@@ -13,6 +13,7 @@ from fermat_homology.group_ring import (
     d_prime,
     d_prime_prime,
     dlog,
+    ideal_span,
     invert,
     multiplication_matrix,
     swap_w,
@@ -210,6 +211,17 @@ def test_differential_component_count_enforced():
 def test_mixed_arity_rejected():
     with pytest.raises(ArityMismatch):
         eps(3, 0, 0) * eps(3, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [((3, 1), (5, 1)), ((5, 1), (3, 1)), ((3, 1), (3, 0)), ((3, 0), (3, 1))],
+    ids=["n3-n5", "n5-n3", "m1-m0", "m0-m1"],
+)
+def test_ideal_span_rejects_generators_of_different_rings(first, second):
+    generators = [GroupRingElement.one(*first), GroupRingElement.one(*second)]
+    with pytest.raises(ArityMismatch):
+        ideal_span(generators)
 
 
 RINGS = {"Z/3": Zmod(3), "Z/4": Zmod(4), "Z/5": Zmod(5), "F_27": GF27}

@@ -29,7 +29,7 @@ def in_h1u(rc):
 
 def shift_invariant(rc):
     """a_{i+1, j+1} = a_{ij}: the class is fixed by the shift e_0 e_1."""
-    return GroupRingElement.monomial(rc.n, 1, (1, 1)) * rc.w == rc.w
+    return GroupRingElement.monomial(rc.w.n, 1, (1, 1)) * rc.w == rc.w
 
 
 def test_boundary_of_generator():
@@ -68,8 +68,8 @@ def test_kernel_basis_ranks():
 
 
 def test_pinned_order_matches_listed_classes():
-    listed = [rc.vector() for rc in load_tables().v_classes()]
-    assert [rc.vector() for rc in h1U_basis(3)] == listed
+    listed = [rc.w.coeffs for rc in load_tables().v_classes()]
+    assert [rc.w.coeffs for rc in h1U_basis(3)] == listed
 
 
 def test_stabilizer_basis():
@@ -86,7 +86,7 @@ def test_stabilizer_contains_diagonal_difference():
     w = GroupRingElement.from_dict(
         3, 1, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (0, 1): -1, (1, 2): -1, (2, 0): -1}
     )
-    vectors = [rc.vector() for rc in stab_basis(3)]
+    vectors = [rc.w.coeffs for rc in stab_basis(3)]
     joint = fl.row_space_basis(3, vectors + [w.coeffs])
     assert len(joint) == len(fl.row_space_basis(3, vectors))
 
@@ -123,7 +123,7 @@ def test_quotient_representatives_certificate():
             order = [(i, j) for i in range(n - 1) for j in range(n - 1)]
         position = {pair: idx for idx, pair in enumerate(order)}
         for d, rc in enumerate(stab_basis(n)):
-            grid = rc.grid()
+            grid = rc.w.grid()
             coords = [grid[i][j] for i, j in order]
             rebuilt = GroupRingElement.zero(n, 1)
             for c, member in zip(coords, basis):
@@ -139,8 +139,8 @@ def test_quotient_agrees_with_field_subquotient_for_primes():
         field = residue_subquotient(
             n,
             n * n,
-            fl.row_space_basis(n, [rc.vector() for rc in h1U_basis(n)]),
-            fl.row_space_basis(n, [rc.vector() for rc in stab_basis(n)]),
+            fl.row_space_basis(n, [rc.w.coeffs for rc in h1U_basis(n)]),
+            fl.row_space_basis(n, [rc.w.coeffs for rc in stab_basis(n)]),
         )
         assert mine.dim == field.dim
         joint = fl.row_space_basis(
@@ -261,7 +261,7 @@ def action_matrix_one_solve_per_vector(b, basis, modulo=None):
     """Reference action matrix: one Gauss-Jordan solve (the oracle) for
     each basis vector's image."""
     n = b.n
-    columns = [rc.vector() for rc in basis] + [rc.vector() for rc in modulo or []]
+    columns = [rc.w.coeffs for rc in basis] + [rc.w.coeffs for rc in modulo or []]
     system = list(zip(*columns))
     rows = []
     for rc in basis:
