@@ -146,20 +146,10 @@ class GroupRingElement:
         )
 
     def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        self._check_compatible(other)
-        ring = self.ring
-        return GroupRingElement(
-            self.n,
-            self.m,
-            ring,
-            tuple(ring.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)),
-        )
+        return self + -other
 
     def __neg__(self) -> "GroupRingElement":
-        ring = self.ring
-        return GroupRingElement(
-            self.n, self.m, ring, tuple(ring.sub(ring.zero, a) for a in self.coeffs)
-        )
+        return self.scale(-1)
 
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         self._check_compatible(other)

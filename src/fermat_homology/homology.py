@@ -20,7 +20,7 @@ from . import fp_linalg
 from ._value import frozen
 from .errors import NotInvariant
 from .group_ring import GroupRingElement, _shift
-from .scalars import is_prime
+from .scalars import Zmod, is_prime
 
 
 @frozen
@@ -142,7 +142,7 @@ def action_matrix(
     first, giving the induced map on the quotient.  Raises NotInvariant
     when an image leaves the allowed span, and ArityMismatch when a basis
     or modulo class differs from b in exponent, arity or ring.  Requires
-    prime n.
+    prime n and, when there is a class to act on, coefficients in Z/n.
 
     Row i of the linear system is monomial i: it holds the i-th
     coefficient of each basis and modulo vector, then of each image b*W.
@@ -158,6 +158,8 @@ def action_matrix(
     classes = [*basis, *(modulo or [])]
     for rc in classes:
         b._check_compatible(rc.w)
+    if classes and b.ring != Zmod(n):
+        raise ValueError(f"action matrices are defined over Z/{n}, got {b.ring!r}")
     vectors = fp_linalg._sparse(n, [rc.w.coeffs for rc in classes])
     cols = len(vectors)
     rows: list[fp_linalg.SparseRow] = [{} for _ in range(n * n)]

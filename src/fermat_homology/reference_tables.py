@@ -6,15 +6,12 @@ compares against.  Basis vectors are stored as monomial expressions in
 e = e_0 and f = e_1 (or as combinations of the affine homology basis
 v1..v4) so the transcription stays reviewable next to the source tables.
 
-One listed vector contains a misprint in its source; the JSON records the
-printed string together with the reading used here, and the reproduction
-report flags that entry separately.
-
-Three further entries are recorded as findings: printed entries that are
-not cocycles of the computed complex.  Each records the printed blocks, a
+Every list holds its entries as printed.  Four printed entries are not
+cocycles of the computed complex, one of them a misprint in the source;
+each is recorded once, under ``findings``, with the printed blocks, a
 reading where one can be derived (null otherwise) and a one-line reason.
-The printed lists keep the entries as printed; `findings` returns the
-readings as parsed vectors and `read_vectors` substitutes them.
+`findings` returns the readings as parsed vectors and `read_vectors`
+substitutes them.
 """
 
 from __future__ import annotations
@@ -28,26 +25,38 @@ from .fp_linalg import FpMatrix
 from .group_ring import GroupRingElement
 from .homology import RelativeClass
 
-_TERM_RE = re.compile(r"[+-]?[^+-]+")
-# A monomial term: sign, coefficient, then e/f factors such as e^2 or f2.
-_MONOMIAL_RE = re.compile(r"([+-]?)(\d*)((?:[ef]\^?\d*)*)")
+# A sum splits before each sign; a term is a sign, a coefficient, then
+# symbols: e/f factors such as e^2 or f2, or one of v1..v4.
+_TERM_RE = re.compile(r"([+-]?)(\d*)([^+-]*)")
+_MONOMIAL_RE = re.compile(r"(?:[ef]\^?\d*)*")
 _VAR_RE = re.compile(r"([ef])\^?(\d*)")
+_V_RE = re.compile(r"v[1-4]")
+
+
+def _terms(expr: str, symbols_re: re.Pattern, error: str):
+    """(coefficient, symbols) for each term of the sum `expr`, none for '0'.
+    Raises ValueError when a sign has nothing after it, and `error` with
+    the whole term when its symbols do not match `symbols_re`."""
+    compact = expr.replace(" ", "").replace("*", "")
+    if compact in ("", "0"):
+        return
+    # only a leading sign leaves an empty piece
+    for term in filter(None, re.split(r"(?=[+-])", compact)):
+        sign, digits, symbols = _TERM_RE.fullmatch(term).groups()
+        if not (digits or symbols):
+            raise ValueError(f"sign with no term after it in: {expr}")
+        if not symbols_re.fullmatch(symbols):
+            raise ValueError(f"{error}: {term}")
+        yield (-1 if sign == "-" else 1) * (int(digits) if digits else 1), symbols
 
 
 def parse_element(expr: str, n: int = 3) -> GroupRingElement:
     """Monomial expression in e, f (e.g. '1 - ef + e^2f^2') to Lambda_1."""
     coeffs: dict[tuple[int, int], int] = {}
-    compact = expr.replace(" ", "").replace("*", "")
-    if compact in ("", "0"):
-        return GroupRingElement.zero(n, 1)
-    for term in _TERM_RE.findall(compact):
-        match = _MONOMIAL_RE.fullmatch(term)
-        if not match:
-            raise ValueError(f"unexpected symbol in monomial expression: {term}")
-        sign, digits, monomial = match.groups()
-        coeff = (-1 if sign == "-" else 1) * (int(digits) if digits else 1)
+    terms = _terms(expr, _MONOMIAL_RE, "unexpected symbol in monomial expression")
+    for coeff, symbols in terms:
         exps = {"e": 0, "f": 0}
-        for var, power in _VAR_RE.findall(monomial):
+        for var, power in _VAR_RE.findall(symbols):
             exps[var] += int(power) if power else 1
         key = (exps["e"] % n, exps["f"] % n)
         coeffs[key] = coeffs.get(key, 0) + coeff
@@ -57,37 +66,19 @@ def parse_element(expr: str, n: int = 3) -> GroupRingElement:
 def parse_v_combination(expr: str) -> tuple[int, int, int, int]:
     """Linear combination of v1..v4 (e.g. 'v1 - v4') to coordinates."""
     out = [0, 0, 0, 0]
-    compact = expr.replace(" ", "")
-    if compact in ("", "0"):
-        return tuple(out)
-    for term in _TERM_RE.findall(compact):
-        sign = -1 if term.startswith("-") else 1
-        body = term.lstrip("+-")
-        match = re.fullmatch(r"(\d*)v([1-4])", body)
-        if not match:
-            raise ValueError(f"cannot parse v-combination term: {term}")
-        coeff = sign * (int(match.group(1)) if match.group(1) else 1)
-        out[int(match.group(2)) - 1] = (out[int(match.group(2)) - 1] + coeff) % 3
+    for coeff, symbols in _terms(expr, _V_RE, "cannot parse v-combination term"):
+        k = int(symbols[1]) - 1
+        out[k] = (out[k] + coeff) % 3
     return tuple(out)
-
-
-def _blocks_to_vector(blocks, parser, width: int) -> tuple[int, ...]:
-    vec: list[int] = []
-    for block in blocks:
-        coords = parser(block)
-        if len(coords) != width:
-            raise ValueError("block width mismatch")
-        vec.extend(coords)
-    return tuple(vec)
 
 
 def _parse_blocks(key: str, blocks) -> tuple[int, ...]:
     """Blocks of a listed vector; lists over the group ring end in
     '_lambda1', lists over affine homology in '_h1u'."""
     if key.endswith("_lambda1"):
-        return _blocks_to_vector(blocks, lambda s: parse_element(s).coeffs, 9)
+        return sum((parse_element(block).coeffs for block in blocks), ())
     if key.endswith("_h1u"):
-        return _blocks_to_vector(blocks, parse_v_combination, 4)
+        return sum(map(parse_v_combination, blocks), ())
     raise ValueError(f"unknown basis list: {key}")
 
 
@@ -135,9 +126,6 @@ class ReferenceTables:
     def vectors(self, key: str) -> list[tuple[int, ...]]:
         """The printed list `key` as coordinate vectors."""
         return [_parse_blocks(key, blocks) for blocks in self.raw[key]]
-
-    def h1_lambda1_misprint(self) -> dict:
-        return dict(self.raw["h1_lambda1_misprint"])
 
     def findings(self, key: str | None = None) -> list[TableFinding]:
         """Recorded findings, all of them or those on the list `key`.

@@ -19,7 +19,8 @@ space) and two entries of the listed degree-1 basis for affine-homology
 coefficients (their coboundaries are nonzero; the sign-corrected variants
 validate).  The rows report those facts rather than silently repairing the
 tables; the tables record the failing entries as findings, and the
-affine-homology row reads its sign-corrected variants from there.
+affine-homology row reads its sign-corrected variants from there.  The
+group-ring degree-1 row reads a misprint's reading there and flags it.
 """
 
 from __future__ import annotations
@@ -210,12 +211,9 @@ def _listed_image(run: RunInputs) -> tuple[bool, str]:
 
 def _listed_h1_lambda1(run: RunInputs) -> tuple[bool, str, str]:
     tables = run.tables
-    misprint = tables.h1_lambda1_misprint()
-    val = validate_basis(tables.vectors("h1_lambda1"), run.lambda1_groups, 1)
-    return val.all_pass, "", (
-        f"entry {misprint['index'] + 1} printed as '{misprint['printed']}' "
-        f"is read as '{misprint['reading']}'"
-    )
+    [finding] = tables.findings("h1_lambda1")
+    val = validate_basis(tables.read_vectors("h1_lambda1"), run.lambda1_groups, 1)
+    return val.all_pass, "", finding.reason
 
 
 def _listed_h1_h1u(run: RunInputs) -> tuple[bool, str]:

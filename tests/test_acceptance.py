@@ -2,9 +2,10 @@
 
 Each test prints one scorecard line.  All arithmetic is exact, so there
 are no tolerances to tune anywhere.  The listed-bases criterion (number
-08) checks the printed lists entry by entry.  Three printed entries are
-not cocycles: one listed image vector, and two listed degree-1 classes
-for affine-homology coefficients.  The reference tables record them as
+08) checks the printed lists entry by entry.  Four printed entries are
+not cocycles: one listed image vector, one misprinted degree-1 class over
+the group ring, and two listed degree-1 classes for affine-homology
+coefficients.  The reference tables record them as
 findings next to the printed lists, which stay as printed; the test
 confirms each finding with an independent coboundary oracle instead of
 substituting corrected readings silently.
@@ -225,11 +226,8 @@ def test_c08_listed_bases_validate():
     tables = load_tables()
     mod_ring = lambda1_module()
     mod_affine = h1u_module()
-    misprint = tables.h1_lambda1_misprint()
-    flagged = (
-        f"degree-1 group-ring list validates (entry {misprint['index'] + 1} read "
-        f"as {misprint['reading']} for printed {misprint['printed']})"
-    )
+    [misprint] = tables.findings("h1_lambda1")
+    flagged = f"degree-1 group-ring list validates ({misprint.reason})"
     sub_checks = [
         ("thirteen listed kernel vectors are cocycles", "kernel_y_lambda1", mod_ring, 1, False),
         ("four listed image vectors are cocycles", "image_x_lambda1", mod_ring, 1, False),

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 import types
 
 import pytest
@@ -27,7 +28,12 @@ from fermat_homology.group_ring import (
     multiplication_matrix,
 )
 from fermat_homology.homology import action_matrix, h1U_basis
-from fermat_homology.reference_tables import ReferenceTables, load_tables, parse_element
+from fermat_homology.reference_tables import (
+    ReferenceTables,
+    load_tables,
+    parse_element,
+    parse_v_combination,
+)
 from oracles import (
     bar_cohomology_trivial,
     closure_rank,
@@ -484,9 +490,13 @@ def test_annihilators_match_ideal_descriptions():
 
 
 def test_listed_bases_for_the_group_ring_validate():
+    """The printed degree-1 list fails at its misprinted entry 2 only; with
+    the recorded reading substituted it validates."""
     tables = load_tables()
     groups = h_groups(lambda1_module())
-    degree_one = validate_basis(tables.vectors("h1_lambda1"), groups, 1)
+    printed = validate_basis(tables.vectors("h1_lambda1"), groups, 1)
+    assert printed.memberships == (True, False) + (True,) * 7
+    degree_one = validate_basis(tables.read_vectors("h1_lambda1"), groups, 1)
     assert degree_one.all_pass
     assert degree_one.expected_dim == 9
     degree_two = validate_basis(tables.vectors("h2_lambda1"), groups, 2)
@@ -495,11 +505,9 @@ def test_listed_bases_for_the_group_ring_validate():
 
 
 def test_misprint_reading_is_a_cocycle():
-    tables = load_tables()
-    misprint = tables.h1_lambda1_misprint()
-    vector = tables.vectors("h1_lambda1")[misprint["index"]]
+    [finding] = load_tables().findings("h1_lambda1")
     _, y, _ = package_complex(lambda1_module())
-    assert not any(row_times(vector, y))
+    assert not any(row_times(finding.reading, y))
 
 
 def test_listed_degree_one_affine_basis_status():
@@ -565,6 +573,7 @@ def test_recorded_findings_match_the_printed_lists():
         ("image_x_lambda1", 1, True),
         ("h1_h1u", 4, False),
         ("h1_h1u", 5, False),
+        ("h1_lambda1", 1, False),
     ]
     raw = copy.deepcopy(tables.raw)
     raw["findings"][1]["printed"] = ["0", "v2 + v4"]
@@ -572,10 +581,39 @@ def test_recorded_findings_match_the_printed_lists():
         ReferenceTables(raw).findings()
 
 
+def test_a_list_corrected_in_place_no_longer_matches_its_finding():
+    raw = copy.deepcopy(load_tables().raw)
+    raw["h1_lambda1"][1] = ["ef^2 - e^2f", "0"]
+    with pytest.raises(ValueError, match="does not match the printed entry"):
+        ReferenceTables(raw).findings("h1_lambda1")
+
+
 @pytest.mark.parametrize("expr", ["x1", "e + y", "2w", "v1"])
 def test_a_monomial_expression_with_an_unknown_symbol_is_rejected(expr):
     with pytest.raises(ValueError, match="^unexpected symbol in monomial expression: "):
         parse_element(expr)
+
+
+@pytest.mark.parametrize("expr, term", [("v5", "v5"), ("v1 + 2w", "+2w"), ("v1 - v12", "-v12")])
+def test_a_bad_v_term_is_rejected_whole(expr, term):
+    with pytest.raises(ValueError, match=f"^cannot parse v-combination term: {re.escape(term)}$"):
+        parse_v_combination(expr)
+
+
+@pytest.mark.parametrize(
+    "parse, expr",
+    [
+        (parse_element, "e--f"),
+        (parse_element, "e-"),
+        (parse_element, "-"),
+        (parse_element, "e+-f"),
+        (parse_v_combination, "v1--v2"),
+        (parse_v_combination, "v1-"),
+    ],
+)
+def test_a_sign_with_nothing_after_it_is_rejected(parse, expr):
+    with pytest.raises(ValueError, match=f"^sign with no term after it in: {re.escape(expr)}$"):
+        parse(expr)
 
 
 def test_monomial_expressions_parse_factor_by_factor():

@@ -233,6 +233,12 @@ def test_action_matrix_checks_the_modulo_classes(w):
         action_matrix(bsigma_p3(1, 0), h1U_basis(3), modulo=[RelativeClass(w)])
 
 
+def test_action_matrix_over_an_extension_field_is_rejected():
+    w = GroupRingElement.one(3, 1, GF27)
+    with pytest.raises(ValueError, match=r"^action matrices are defined over Z/3, got "):
+        action_matrix(w, [RelativeClass(w)])
+
+
 def test_norm_identity_on_the_kernel():
     basis = h1U_basis(3)
     a = action_matrix(bsigma_p3(1, 0), basis)
