@@ -21,9 +21,11 @@ odd p (and -1 = 1 for p = 2), that is U = S^(p-1).  For the same reason
 sigma^p - 1 = (sigma - 1)^p = -S^p, so sigma has order dividing p exactly
 when U S = 0.  ``GModule`` validation therefore computes the blocks
 S, T, U, V once, as sparse rows (see ``fp_linalg``), and uses them for its
-own checks; every differential is built from those blocks, and
-``h_groups`` keeps its rows sparse through every kernel, image and
-subquotient, so only the reported bases become dense.
+own checks.  Every differential is built from those blocks, and every
+other reader (the scorecard's block rows, ``wedge_module``) gets the same
+blocks, dense, from ``GModule.blocks``.  ``h_groups`` keeps its rows
+sparse through every kernel, image and subquotient, so only the reported
+bases become dense.
 
 ``h_groups`` starts each elimination from the basis the previous step
 produced.  Write I for the RREF basis of
@@ -88,6 +90,12 @@ class GModule:
             raise InvalidAction("the two actions do not commute")
         # (S, T, U, V) as sparse rows; not a field, so outside init, eq and repr
         object.__setattr__(self, "_blocks", (s, t, u, v))
+
+    @property
+    def blocks(self) -> tuple[FpMatrix, FpMatrix, FpMatrix, FpMatrix]:
+        """The blocks (S, T, U, V) the differentials are built from, dense."""
+        return tuple(FpMatrix(self.p, self.dim, self.dim, fp_linalg._dense(b, self.dim))
+                     for b in self._blocks)
 
 
 def _one_minus(act: FpMatrix) -> list[SparseRow]:
@@ -246,9 +254,7 @@ def wedge_module() -> GModule:
     construction.  The functorial module, with actions L(sigma) and
     L(tau), is a different one.
     """
-    base = h1u_module()
-    ident4 = FpMatrix.identity(3, 4)
+    s1, t1 = h1u_module().blocks[:2]
     ident6 = FpMatrix.identity(3, 6)
-    s_wedge = fp_linalg.exterior_square(ident4 - base.act_sigma)
-    t_wedge = fp_linalg.exterior_square(ident4 - base.act_tau)
+    s_wedge, t_wedge = fp_linalg.exterior_square(s1), fp_linalg.exterior_square(t1)
     return GModule(3, 6, ident6 - s_wedge, ident6 - t_wedge)

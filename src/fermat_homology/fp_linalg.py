@@ -35,6 +35,7 @@ of that map, {v : v @ M = 0}.
 from __future__ import annotations
 
 import itertools
+from operator import index
 
 from ._value import frozen
 from .errors import NotSquare
@@ -57,7 +58,8 @@ class FpMatrix:
     def from_rows(cls, p: int, rows) -> "FpMatrix":
         if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
-        table = tuple(tuple([int(x) % p for x in row]) for row in rows)
+        # index, not int: a float or a string entry raises TypeError
+        table = tuple(tuple([index(x) % p for x in row]) for row in rows)
         nrows = len(table)
         ncols = len(table[0]) if nrows else 0
         if any(len(row) != ncols for row in table):
@@ -239,11 +241,16 @@ def row_space_basis(p: int, vectors) -> list[Vector]:
     vectors = list(vectors)
     if not vectors:
         return []
+    if len({len(v) for v in vectors}) > 1:
+        raise ValueError("vectors of different lengths")
     return list(_dense(_rref(p, _sparse(p, vectors))[0], len(vectors[0])))
 
 
 def in_span(p: int, basis: list[Vector], vectors) -> list[bool]:
     """Whether each vector lies in the span of an RREF basis."""
+    vectors = list(vectors)
+    if len({len(v) for v in (*basis, *vectors)}) > 1:
+        raise ValueError("vectors of different lengths")
     rows = {min(row): row for row in _sparse(p, basis)}
     return [not _reduce(p, row, rows) for row in _sparse(p, vectors)]
 

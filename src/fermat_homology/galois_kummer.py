@@ -12,6 +12,7 @@ plus-part class number.
 from __future__ import annotations
 
 import itertools
+from operator import index
 
 from ._value import frozen
 from .scalars import is_prime
@@ -32,7 +33,7 @@ class KummerCoordinates:
             )
         if not is_prime(self.p) or self.p == 2:
             raise ValueError(f"p must be an odd prime, got {self.p}")
-        object.__setattr__(self, "c", tuple(x % self.p for x in self.c))
+        object.__setattr__(self, "c", tuple(index(x) % self.p for x in self.c))
 
     def __add__(self, other: "KummerCoordinates") -> "KummerCoordinates":
         if self.p != other.p:
@@ -60,7 +61,7 @@ class PsiVector:
     def __post_init__(self):
         if len(self.entries) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} entries, got {len(self.entries)}")
-        object.__setattr__(self, "entries", tuple(x % self.p for x in self.entries))
+        object.__setattr__(self, "entries", tuple(index(x) % self.p for x in self.entries))
 
     def __add__(self, other: "PsiVector") -> "PsiVector":
         if self.p != other.p:

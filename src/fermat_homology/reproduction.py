@@ -175,20 +175,14 @@ def _boundary_of_generator(run: RunInputs) -> bool:
     return generator.r == one and generator.q == -one
 
 
-def _one_minus(mod: GModule) -> tuple[FpMatrix, FpMatrix]:
-    """The blocks 1 - sigma and 1 - tau of a module."""
-    ident = FpMatrix.identity(mod.p, mod.dim)
-    return ident - mod.act_sigma, ident - mod.act_tau
-
-
 def _norm_blocks(run: RunInputs) -> bool:
-    s, t = _one_minus(run.lambda1)
-    return s @ s == FpMatrix.from_rows(3, [[1] * 9] * 9) and (t @ t).is_zero()
+    _, _, u, v = run.lambda1.blocks
+    return u == FpMatrix.from_rows(3, [[1] * 9] * 9) and v.is_zero()
 
 
 def _restricted_blocks(run: RunInputs) -> bool:
-    s1, t1 = _one_minus(run.h1u)
-    return s1 == run.tables.s1_matrix() and t1.is_zero() and (s1 @ s1).is_zero()
+    s1, t1, u1, v1 = run.h1u.blocks
+    return s1 == run.tables.s1_matrix() and all(m.is_zero() for m in (t1, u1, v1))
 
 
 def _listed_kernel(run: RunInputs) -> bool:
@@ -295,9 +289,9 @@ CHECKS = (
     Check("c05.boundary-generator", "boundary of the generator is (1, -1)",
           _boundary_of_generator),
     Check("c06.s-matrix", "matrix of 1 - B(1,0) equals the listed S",
-          lambda run: _one_minus(run.lambda1)[0] == run.tables.s_matrix()),
+          lambda run: run.lambda1.blocks[0] == run.tables.s_matrix()),
     Check("c06.t-matrix", "matrix of 1 - B(0,1) equals the listed T",
-          lambda run: _one_minus(run.lambda1)[1] == run.tables.t_matrix()),
+          lambda run: run.lambda1.blocks[1] == run.tables.t_matrix()),
     Check("c06.norm-blocks", "norm blocks: all-ones for sigma, zero for tau",
           _norm_blocks),
     Check("c06.restricted", "restricted matrices: S1 matches, T1 = U1 = V1 = 0",

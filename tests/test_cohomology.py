@@ -304,7 +304,8 @@ def test_a_broken_complex_raises_containment_violation(monkeypatch, build, degre
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_norm_equals_the_sum_of_powers(p):
     """The norm blocks U (top left of Y) and V (bottom right) are the sums
-    1 + a + ... + a^(p-1) of the two actions."""
+    1 + a + ... + a^(p-1) of the two actions, and ``GModule.blocks`` hands
+    out 1 - sigma, 1 - tau and those two sums."""
     mod = random_commuting_module(random.Random(f"norm/{p}"), p=p)
     dim = mod.dim
     _, y, _ = package_complex(mod)
@@ -312,12 +313,16 @@ def test_norm_equals_the_sum_of_powers(p):
         [row[:dim] for row in y.entries[:dim]],
         [row[2 * dim :] for row in y.entries[dim:]],
     )
+    ident = fl.FpMatrix.identity(p, dim)
+    norms = []
     for act, block in zip((mod.act_sigma, mod.act_tau), blocks):
-        total = power = fl.FpMatrix.identity(p, dim)
+        total = power = ident
         for _ in range(p - 1):
             power = power @ act
             total = total + power
         assert fl.FpMatrix(p, dim, dim, tuple(block)) == total
+        norms.append(total)
+    assert mod.blocks == (ident - mod.act_sigma, ident - mod.act_tau, *norms)
 
 
 def test_trivial_module_complex_is_zero():

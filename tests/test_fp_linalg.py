@@ -3,7 +3,7 @@ import random
 import pytest
 
 from fermat_homology import fp_linalg as fl
-from fermat_homology.cohomology import lambda1_module
+from fermat_homology.cohomology import h_groups, lambda1_module, validate_basis
 from fermat_homology.errors import NotSquare
 from fermat_homology.reference_tables import load_tables
 from oracles import closure_rank, dense_complex, rref_residue, solve
@@ -298,6 +298,24 @@ def test_identity_and_scale_equal_their_from_rows_forms(p):
         )
     with pytest.raises(ValueError):
         fl.FpMatrix.identity(4, 2)
+
+
+@pytest.mark.parametrize("row", ([1.5, 2.9], ["2", True]))
+def test_from_rows_rejects_non_integer_entries(row):
+    with pytest.raises(TypeError):
+        fl.FpMatrix.from_rows(3, [row])
+
+
+def test_vectors_of_mixed_length_raise_value_error():
+    with pytest.raises(ValueError, match="^vectors of different lengths$"):
+        fl.in_span(3, [(1, 0, 0)], [(1,)])
+    with pytest.raises(ValueError, match="^vectors of different lengths$"):
+        fl.in_span(3, [], [(1, 0), (1,)])
+    with pytest.raises(ValueError, match="^vectors of different lengths$"):
+        fl.row_space_basis(3, [(1, 0), (0, 1, 1)])
+    # validate_basis checks the lengths first, with its own message
+    with pytest.raises(ValueError, match="^vector length does not match row count$"):
+        validate_basis([(1,) * 9], h_groups(lambda1_module()), 1)
 
 
 def test_zero_row_matrices_keep_their_column_count():

@@ -183,6 +183,12 @@ def test_kummer_and_psi_reduce_mod_p():
     assert PsiVector(5, (5, 6, -1, 9)).entries == (0, 1, 4, 4)
 
 
+@pytest.mark.parametrize("cls, entries", [(KummerCoordinates, (1, 2.5)), (PsiVector, (0.5, 1))])
+def test_kummer_and_psi_reject_non_integer_entries(cls, entries):
+    with pytest.raises(TypeError):
+        cls(3, entries)
+
+
 @pytest.mark.parametrize(
     "sigma, tau, message",
     [
