@@ -30,14 +30,12 @@ def bsigma_p3(c0: int, c1: int) -> GroupRingElement:
     b_01 = c_1 - c_0^2 and b_11 = -c_1 - c_0^2; the rest follow from the
     symmetry b_ij = b_ji together with row sums (1, 0, 0).
     """
-    c0 %= 3
-    c1 %= 3
-    b00 = (1 + c0 - c0 * c0) % 3
-    b01 = (c1 - c0 * c0) % 3
-    b11 = (-c1 - c0 * c0) % 3
-    b02 = (1 - b00 - b01) % 3
-    b12 = (-b01 - b11) % 3
-    b22 = (-b02 - b12) % 3
+    b00 = 1 + c0 - c0 * c0
+    b01 = c1 - c0 * c0
+    b11 = -c1 - c0 * c0
+    b02 = 1 - b00 - b01
+    b12 = -b01 - b11
+    b22 = -b02 - b12
     grid = [
         [b00, b01, b02],
         [b01, b11, b12],
@@ -138,7 +136,8 @@ def verify_bsigma(b: GroupRingElement) -> VerificationReport:
         d_second_ok = d_prime_prime(b) == GroupRingElement.one(b.n, 2)
     except (NotSymmetric, NotAUnit):
         d_second_ok = False
-    return VerificationReport(b == swap_w(b), sums_ok, in_augmentation_ideal(x), d_second_ok)
+    # B - 1 lies in the augmentation ideal exactly when its boundary vanishes
+    return VerificationReport(b == swap_w(b), sums_ok, delta.is_zero(), d_second_ok)
 
 
 # The published kernel relations for the linear map sending a group element

@@ -99,11 +99,11 @@ class GModule:
 
 
 def _one_minus(act: FpMatrix) -> list[SparseRow]:
-    """1 - act as sparse rows."""
+    """1 - act as sparse rows, each entry reduced as it is read."""
     p = act.p
     rows = []
     for i, entries in enumerate(act.entries):
-        row = {j: p - x for j, x in enumerate(entries) if x}
+        row = {j: y for j, x in enumerate(entries) if x and (y := -x % p)}
         diagonal = (1 - entries[i]) % p
         if diagonal:
             row[i] = diagonal

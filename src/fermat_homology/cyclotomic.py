@@ -9,6 +9,8 @@ certified through norms, never through division.
 
 from __future__ import annotations
 
+from operator import index
+
 from ._value import frozen
 from .errors import ModulusMismatch
 from .scalars import is_prime
@@ -33,6 +35,7 @@ class CyclotomicInt:
             raise ValueError(f"p must be an odd prime, got {self.p}")
         if len(self.coeffs) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} coefficients")
+        object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
 
     @classmethod
     def integer(cls, p: int, c: int) -> "CyclotomicInt":

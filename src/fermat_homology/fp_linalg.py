@@ -47,12 +47,19 @@ SparseRow = dict[int, int]
 
 @frozen
 class FpMatrix:
-    """Dense matrix over Z/p with every entry reduced into [0, p)."""
+    """Dense matrix over Z/p with every entry reduced into [0, p).
+
+    The constructor checks the shape and trusts the entries; ``from_rows``
+    reduces them."""
 
     p: int
     rows: int
     cols: int
     entries: tuple[Vector, ...]
+
+    def __post_init__(self):
+        if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
+            raise ValueError(f"entries are not {self.rows} rows of {self.cols}")
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "FpMatrix":
@@ -60,11 +67,7 @@ class FpMatrix:
             raise ValueError(f"modulus must be prime, got {p}")
         # index, not int: a float or a string entry raises TypeError
         table = tuple(tuple([index(x) % p for x in row]) for row in rows)
-        nrows = len(table)
-        ncols = len(table[0]) if nrows else 0
-        if any(len(row) != ncols for row in table):
-            raise ValueError("ragged rows")
-        return cls(p, nrows, ncols, table)
+        return cls(p, len(table), len(table[0]) if table else 0, table)
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMatrix":

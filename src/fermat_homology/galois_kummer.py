@@ -38,9 +38,7 @@ class KummerCoordinates:
     def __add__(self, other: "KummerCoordinates") -> "KummerCoordinates":
         if self.p != other.p:
             raise ValueError("mismatched primes")
-        return KummerCoordinates(
-            self.p, tuple((a + b) % self.p for a, b in zip(self.c, other.c))
-        )
+        return KummerCoordinates(self.p, tuple(a + b for a, b in zip(self.c, other.c)))
 
     def to_json(self) -> dict:
         return {"p": self.p, "c": list(self.c)}
@@ -66,9 +64,7 @@ class PsiVector:
     def __add__(self, other: "PsiVector") -> "PsiVector":
         if self.p != other.p:
             raise ValueError("mismatched primes")
-        return PsiVector(
-            self.p, tuple((a + b) % self.p for a, b in zip(self.entries, other.entries))
-        )
+        return PsiVector(self.p, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def to_json(self) -> dict:
         return {"p": self.p, "entries": list(self.entries)}
@@ -85,7 +81,7 @@ def psi_from_kummer(k: KummerCoordinates) -> PsiVector:
     half = (p - 1) // 2
     entries = [k.c[i] for i in range(1, half + 1)]
     for i in range(half + 1, p):
-        entries.append((k.c[p - i] + (p - i) * k.c[0]) % p)
+        entries.append(k.c[p - i] + (p - i) * k.c[0])
     return PsiVector(p, tuple(entries))
 
 

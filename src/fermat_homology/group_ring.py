@@ -6,8 +6,11 @@ stored as a dense coefficient table indexed by packed exponent tuples
 Z/n by default; a prime-power extension field can be supplied instead,
 which is how the gamma-element computations work at finite precision
 inside an algebraic closure of Z/p.  The table is reduced entry by entry
-(``ring.reduce``) when an element is made, so each value has one table:
-equality, hashing and the zero tests compare entries with ``ring.zero``.
+(``ring.reduce``) when an element is made, and only then: the operations
+below hand the constructor the raw sums and products of ``ring.add`` and
+``ring.mul`` (plain integers over Z/n), so each cell is reduced once and
+each value has one table.  Equality, hashing and the zero tests compare
+entries with ``ring.zero``.
 
 A monomial permutes the monomial basis, so multiplying by e^s rotates the
 table: along each axis k, every block of n runs of length n^(m-k) turns by
@@ -83,8 +86,8 @@ class GroupRingElement:
         return cls.monomial(n, m, (0,) * (m + 1), ring=ring)
 
     @classmethod
-    def monomial(cls, n, m, exps, coeff=1, ring=None) -> "GroupRingElement":
-        return cls.from_dict(n, m, {tuple(exps): coeff}, ring=ring)
+    def monomial(cls, n, m, exps, ring=None) -> "GroupRingElement":
+        return cls.from_dict(n, m, {tuple(exps): 1}, ring=ring)
 
     @classmethod
     def from_dict(cls, n, m, coeffs, ring=None) -> "GroupRingElement":
@@ -98,14 +101,9 @@ class GroupRingElement:
         return cls(n, m, ring, tuple(table))
 
     @classmethod
-    def from_grid(cls, n, rows, ring=None) -> "GroupRingElement":
-        """Two-variable element from an n x n table; rows index e_0 powers."""
-        return cls.from_dict(
-            n,
-            1,
-            {(i, j): rows[i][j] for i in range(n) for j in range(n)},
-            ring=ring,
-        )
+    def from_grid(cls, n, rows) -> "GroupRingElement":
+        """Two-variable element over Z/n from an n x n table; rows index e_0 powers."""
+        return cls.from_dict(n, 1, {(i, j): rows[i][j] for i in range(n) for j in range(n)})
 
     # -- basic structure ----------------------------------------------
 
@@ -260,11 +258,11 @@ class DifferentialElement:
 
 
 def augmentation(a: GroupRingElement):
-    """Sum of all coefficients; a ring homomorphism onto the base ring."""
+    """Sum of all coefficients, reduced: a homomorphism onto the base ring."""
     total = a.ring.zero
     for c in a.coeffs:
         total = a.ring.add(total, c)
-    return total
+    return a.ring.reduce(total)
 
 
 def swap_w(a: GroupRingElement) -> GroupRingElement:

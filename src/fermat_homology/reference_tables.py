@@ -50,17 +50,17 @@ def _terms(expr: str, symbols_re: re.Pattern, error: str):
         yield (-1 if sign == "-" else 1) * (int(digits) if digits else 1), symbols
 
 
-def parse_element(expr: str, n: int = 3) -> GroupRingElement:
-    """Monomial expression in e, f (e.g. '1 - ef + e^2f^2') to Lambda_1."""
+def parse_element(expr: str) -> GroupRingElement:
+    """Monomial expression in e, f (e.g. '1 - ef + e^2f^2') to Lambda_1 over Z/3."""
     coeffs: dict[tuple[int, int], int] = {}
     terms = _terms(expr, _MONOMIAL_RE, "unexpected symbol in monomial expression")
     for coeff, symbols in terms:
         exps = {"e": 0, "f": 0}
         for var, power in _VAR_RE.findall(symbols):
             exps[var] += int(power) if power else 1
-        key = (exps["e"] % n, exps["f"] % n)
+        key = (exps["e"] % 3, exps["f"] % 3)
         coeffs[key] = coeffs.get(key, 0) + coeff
-    return GroupRingElement.from_dict(n, 1, coeffs)
+    return GroupRingElement.from_dict(3, 1, coeffs)
 
 
 def parse_v_combination(expr: str) -> tuple[int, int, int, int]:

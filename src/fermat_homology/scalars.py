@@ -1,17 +1,21 @@
 """Coefficient domains for group-ring arithmetic.
 
-Two domains are supported: the residue ring Z/n (elements are plain ints
-reduced into [0, n)) and a prime-power extension field F_{p^k} given by a
-fixed monic irreducible modulus (elements are coefficient tuples of length
-k, low degree first).  Both expose the same four operations, ``add``,
-``sub``, ``mul`` and ``reduce``, with ``zero``, ``one``, ``is_field``,
-``char`` and ``size``, so the group ring can stay agnostic about which
-one it is working over.  ``reduce`` maps any representative to the
-canonical form that elements compare in, and reads an int c as the
-multiple c * 1 of the unit.
+Two domains are supported: the residue ring Z/n (elements are plain ints)
+and a prime-power extension field F_{p^k} given by a fixed monic
+irreducible modulus (elements are coefficient tuples of length k, low
+degree first).  Both expose the same four operations, ``add``, ``sub``,
+``mul`` and ``reduce``, with ``zero``, ``one``, ``is_field``, ``char`` and
+``size``, so the group ring can stay agnostic about which one it is
+working over.  ``add``, ``sub`` and ``mul`` return *a* representative:
+over Z/n they are the integer operations, so ``Zmod(5).mul(3, 4)`` is 12.
+Only ``reduce`` promises the canonical form that elements compare in; it
+reads integers through ``operator.index`` (a float raises ``TypeError``)
+and an int c as the multiple c * 1 of the unit.
 """
 
 from __future__ import annotations
+
+import operator
 
 
 def is_prime(n: int) -> bool:
@@ -40,7 +44,11 @@ def _power(x, k: int, mul, one):
 
 
 class Zmod:
-    """The ring Z/n acting on plain integers."""
+    """The ring Z/n acting on plain integers; only ``reduce`` reduces."""
+
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
 
     def __init__(self, n: int) -> None:
         if n < 2:
@@ -52,17 +60,8 @@ class Zmod:
         self.char = n if self.is_field else None
         self.size = n
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.n
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.n
-
     def reduce(self, a: int) -> int:
-        return a % self.n
+        return operator.index(a) % self.n
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Zmod) and other.n == self.n
@@ -122,7 +121,7 @@ class PrimeExtensionField:
         """The canonical form of a coefficient tuple, or of the int a * 1."""
         if isinstance(a, int):
             return (a % self.p,) + self.zero[1:]
-        return tuple(x % self.p for x in a)
+        return tuple(operator.index(x) % self.p for x in a)
 
     def to_prime_int(self, a):
         """The prime-field value of a reduced ``a``, or None if a is not in F_p."""

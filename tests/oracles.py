@@ -126,7 +126,7 @@ def convolution(n: int, ring, x: dict, y: dict) -> dict:
         for b, d in y.items():
             key = tuple((s + t) % n for s, t in zip(a, b))
             out[key] = ring.add(out.get(key, ring.zero), ring.mul(c, d))
-    return out
+    return {key: ring.reduce(c) for key, c in out.items()}
 
 
 def long_division_product(p: int, modulus, a, b) -> tuple[int, ...]:

@@ -109,6 +109,18 @@ def test_gmodule_rejects_wrong_order():
         GModule(3, 1, a, fl.FpMatrix.identity(3, 1))
 
 
+@pytest.mark.parametrize("sigma", [((1, 4), (0, 1)), ((4, 3), (3, 4)), ((-2, 1), (0, 7))])
+def test_gmodule_reduces_the_entries_of_a_raw_matrix(sigma):
+    """FpMatrix's constructor keeps the entries it is given; the module
+    made from them has the blocks and the cohomology of the reduced one."""
+    ident = fl.FpMatrix.identity(3, 2)
+    raw = GModule(3, 2, fl.FpMatrix(3, 2, 2, sigma), ident)
+    reduced = GModule(3, 2, fl.FpMatrix.from_rows(3, sigma), ident)
+    assert raw.blocks == reduced.blocks
+    assert all(0 <= x < 3 for block in raw.blocks for row in block.entries for x in row)
+    assert h_groups(raw) == h_groups(reduced)
+
+
 SHIFT_UP = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
 SHIFT_DOWN = [[1, 0, 0], [1, 1, 0], [0, 1, 1]]
 SWAP = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fermat_homology.scalars import GF27, PrimeExtensionField
+from fermat_homology.scalars import GF27, PrimeExtensionField, Zmod
 from oracles import long_division_product
 
 # Irreducible moduli; the last two have a nonzero t^(k-1) term, so folding
@@ -15,6 +15,16 @@ FIELDS = {
     "F_2^4": PrimeExtensionField(2, (1, 0, 0, 1, 1)),  # t^4 + t^3 + 1
     "F_7^2": PrimeExtensionField(7, (3, 1, 1)),  # t^2 + t + 3
 }
+
+
+def test_zmod_computes_on_integers_and_reduces_once():
+    """add, sub and mul return a representative; reduce the canonical one."""
+    ring = Zmod(5)
+    assert (ring.add(3, 4), ring.sub(3, 4), ring.mul(3, 4)) == (7, -1, 12)
+    assert [ring.reduce(c) for c in (7, -1, 12, 5, True)] == [2, 4, 2, 0, 1]
+    for bad in (0.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            ring.reduce(bad)
 
 
 @pytest.mark.parametrize("name", ["GF27", *sorted(FIELDS)])

@@ -24,7 +24,7 @@ from fermat_homology.group_ring import DifferentialElement, GroupRingElement
 from fermat_homology.homology import BoundaryClass, RelativeClass
 from fermat_homology.reference_tables import TableFinding
 from fermat_homology.reproduction import CheckResult
-from fermat_homology.scalars import Zmod
+from fermat_homology.scalars import GF27, Zmod
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -187,6 +187,36 @@ def test_kummer_and_psi_reduce_mod_p():
 def test_kummer_and_psi_reject_non_integer_entries(cls, entries):
     with pytest.raises(TypeError):
         cls(3, entries)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CyclotomicInt(3, (0.5, 0)),
+        lambda: GroupRingElement(3, 0, Zmod(3), (0.5, 0, 0)),
+        lambda: GroupRingElement(3, 0, GF27, ((0.5, 0, 0), GF27.zero, GF27.zero)),
+        lambda: GF27.reduce((0.5, 0, 0)),
+    ],
+    ids=["CyclotomicInt", "GroupRingElement-Zmod", "GroupRingElement-GF27", "GF27.reduce"],
+)
+def test_integer_tables_reject_non_integer_entries(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (lambda: FpMatrix(3, 2, 2, ((5, 0),)), "2 rows of 2"),
+        (lambda: FpMatrix(3, 2, 2, ((1, 0), (0, 1), (0, 0))), "2 rows of 2"),
+        (lambda: FpMatrix(3, 2, 2, ((1,), (0, 1))), "2 rows of 2"),
+        (lambda: FpMatrix(3, 1, 0, ()), "1 rows of 0"),
+        (lambda: FpMatrix.from_rows(3, [[1, 0], [0]]), "2 rows of 2"),
+    ],
+)
+def test_fp_matrix_checks_the_shape(make, shape):
+    with pytest.raises(ValueError, match=f"^entries are not {shape}$"):
+        make()
 
 
 @pytest.mark.parametrize(
