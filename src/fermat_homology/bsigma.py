@@ -115,16 +115,6 @@ class VerificationReport:
         }
 
 
-def in_augmentation_ideal(x: GroupRingElement) -> bool:
-    """Membership of x in (1 - e_0)(1 - e_1) Lambda_1 over Z/n, n >= 2.
-
-    That ideal is ker(delta), the elements whose row and column sums all
-    vanish: the augmentation ideal of Z/n[e] is (1 - e) Z/n[e], a direct
-    summand, so ker(e_0 -> 1) and ker(e_1 -> 1) meet in its tensor square.
-    """
-    return boundary_delta(RelativeClass(x)).is_zero()
-
-
 def verify_bsigma(b: GroupRingElement) -> VerificationReport:
     """Run the structural facts on an element of Lambda_1 over Z/n, n prime."""
     x = b - GroupRingElement.one(b.n, 1)
@@ -136,7 +126,9 @@ def verify_bsigma(b: GroupRingElement) -> VerificationReport:
         d_second_ok = d_prime_prime(b) == GroupRingElement.one(b.n, 2)
     except (NotSymmetric, NotAUnit):
         d_second_ok = False
-    # B - 1 lies in the augmentation ideal exactly when its boundary vanishes
+    # B - 1 lies in (1 - e_0)(1 - e_1) Lambda_1 exactly when its boundary
+    # vanishes: the augmentation ideal of Z/n[e] is (1 - e) Z/n[e], a direct
+    # summand, so ker(e_0 -> 1) and ker(e_1 -> 1) meet in its tensor square
     return VerificationReport(b == swap_w(b), sums_ok, delta.is_zero(), d_second_ok)
 
 

@@ -76,13 +76,6 @@ class FpMatrix:
         rows = tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
         return cls(p, n, n, rows)
 
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        if self.p != other.p or self.cols != other.rows:
-            raise ValueError("incompatible shapes for matrix product")
-        p = self.p
-        rows = _matmul(p, _sparse(p, self.entries), _sparse(p, other.entries))
-        return FpMatrix(p, self.rows, other.cols, _dense(rows, other.cols))
-
     def __add__(self, other: "FpMatrix") -> "FpMatrix":
         if (self.p, self.rows, self.cols) != (other.p, other.rows, other.cols):
             raise ValueError("incompatible shapes for matrix sum")

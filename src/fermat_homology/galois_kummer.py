@@ -57,8 +57,11 @@ class PsiVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
+        # the count first: trial division of a huge p would not return
         if len(self.entries) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} entries, got {len(self.entries)}")
+        if not is_prime(self.p) or self.p == 2:
+            raise ValueError(f"p must be an odd prime, got {self.p}")
         object.__setattr__(self, "entries", tuple(index(x) % self.p for x in self.entries))
 
     def __add__(self, other: "PsiVector") -> "PsiVector":

@@ -44,6 +44,13 @@ def _pack(n: int, exps: tuple[int, ...]) -> int:
     return idx
 
 
+def _size(n: int, m: int) -> int:
+    """n^(m+1), the length of a table of Lambda_m; m < 0 has no table."""
+    if m < 0:
+        raise ArityMismatch(f"m must be at least 0, got {m}")
+    return n ** (m + 1)
+
+
 def _shift(coeffs, n: int, exps) -> tuple:
     """The table of e^exps * a, given the table of a: one rotation per axis."""
     size = block = len(coeffs)
@@ -70,7 +77,7 @@ class GroupRingElement:
     coeffs: tuple
 
     def __post_init__(self):
-        size = self.n ** (self.m + 1)
+        size = _size(self.n, self.m)
         if len(self.coeffs) != size:
             raise ArityMismatch(f"expected {size} coefficients, got {len(self.coeffs)}")
         object.__setattr__(self, "coeffs", tuple(map(self.ring.reduce, self.coeffs)))
@@ -92,7 +99,7 @@ class GroupRingElement:
     @classmethod
     def from_dict(cls, n, m, coeffs, ring=None) -> "GroupRingElement":
         ring = ring if ring is not None else Zmod(n)
-        table = [ring.zero] * (n ** (m + 1))
+        table = [ring.zero] * _size(n, m)
         for exps, c in coeffs.items():
             if len(exps) != m + 1:
                 raise ArityMismatch(f"expected {m + 1} exponents, got {len(exps)}")
@@ -106,9 +113,6 @@ class GroupRingElement:
         return cls.from_dict(n, 1, {(i, j): rows[i][j] for i in range(n) for j in range(n)})
 
     # -- basic structure ----------------------------------------------
-
-    def coeff(self, *exps):
-        return self.coeffs[_pack(self.n, tuple(exps))]
 
     def grid(self) -> list[list]:
         if self.m != 1:
@@ -183,9 +187,11 @@ class GroupRingElement:
         new variables listed in targets[k]."""
         if len(targets) != self.m + 1:
             raise ArityMismatch("one target list per variable is required")
+        if not all(0 <= v <= new_m for target in targets for v in target):
+            raise ArityMismatch(f"targets must be variables 0..{new_m}, got {targets}")
         n = self.n
         ring = self.ring
-        out = [ring.zero] * (n ** (new_m + 1))
+        out = [ring.zero] * _size(n, new_m)
         for exps, c in zip(product(range(n), repeat=self.m + 1), self.coeffs):
             if c == ring.zero:
                 continue
@@ -199,6 +205,8 @@ class GroupRingElement:
 
     def derivative(self, k: int) -> "GroupRingElement":
         """Coefficient of dlog e_k in the canonical derivation d."""
+        if not 0 <= k <= self.m:
+            raise ArityMismatch(f"k must be a variable 0..{self.m}, got {k}")
         ring = self.ring
         out = [
             ring.mul(ring.reduce(exps[k]), c)

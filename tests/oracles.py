@@ -12,7 +12,9 @@ plain sums over the rows.  A subquotient's cosets come from reducing
 each kernel vector against the image, not from the package's rule that
 keeps the kernel rows off the image pivots.
 
-Three oracles use nothing of the package at all.  ``dense_complex``
+Four oracles use nothing of the package at all.  ``matrix_product``
+multiplies lists of rows entry by entry (``times`` applies it to two
+``FpMatrix`` values and only packs the result).  ``dense_complex``
 writes the total complex of a module out over plain lists, block by
 block, by the bidegree rule, with S = 1 - sigma and the norm U = 1 +
 sigma + ... + sigma^(p-1) taken as a sum of powers, not as S^(p-1).
@@ -27,7 +29,7 @@ import cmath
 import itertools
 import re
 
-from fermat_homology.fp_linalg import SubquotientReport, row_space_basis
+from fermat_homology.fp_linalg import FpMatrix, SubquotientReport, row_space_basis
 from fermat_homology.scalars import Zmod
 
 
@@ -222,12 +224,19 @@ def degree_one_coboundary(raw, key: str, vector) -> tuple[int, ...]:
     return tuple(c % p for c in norm(sigma, a) + middle + norm(tau, b))
 
 
-def _product(p: int, a, b) -> list[list[int]]:
+def matrix_product(p: int, a, b) -> list[list[int]]:
     """a b for matrices given as lists of rows, entry by entry."""
     return [
         [sum(x * b[k][j] for k, x in enumerate(row)) % p for j in range(len(b[0]))]
         for row in a
     ]
+
+
+def times(a: FpMatrix, b: FpMatrix) -> FpMatrix:
+    """a b for two matrices over Z/p, by ``matrix_product``;
+    ``FpMatrix.from_rows`` only packs the result."""
+    assert a.p == b.p and a.cols == b.rows, "incompatible shapes for matrix product"
+    return FpMatrix.from_rows(a.p, matrix_product(a.p, a.entries, b.entries))
 
 
 def dense_complex(mod, top: int = 2) -> list[list[list[int]]]:
@@ -249,7 +258,7 @@ def dense_complex(mod, top: int = 2) -> list[list[list[int]]]:
     def norm(act):
         total = power = ident
         for _ in range(p - 1):
-            power = _product(p, power, act)
+            power = matrix_product(p, power, act)
             total = [[(x + y) % p for x, y in zip(r, q)] for r, q in zip(total, power)]
         return total
 

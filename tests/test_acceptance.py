@@ -53,7 +53,7 @@ from fermat_homology.homology import (
 )
 from fermat_homology.reference_tables import load_tables
 from fermat_homology.scalars import GF27
-from oracles import closure_rank, degree_one_coboundary, dense_complex, row_times
+from oracles import closure_rank, degree_one_coboundary, dense_complex, row_times, times
 from test_cohomology import package_complex, random_commuting_module
 
 
@@ -100,7 +100,7 @@ def test_c03_oracle_equivalence():
             assert augmentation(gamma) == GF27.one
             residue = dlog(gamma).components[0] - psi_elt
             assert all(
-                residue.coeff(k) == GF27.zero for k in range(1, 3)
+                residue.coeffs[k] == GF27.zero for k in range(1, 3)
             ), "difference must be constant in the group-ring variable"
     _report(3, "gamma oracle equivalence, coefficient sums and dlog cosets")
 
@@ -162,8 +162,8 @@ def test_c06_action_matrices():
     t1 = ident4 - sub.act_tau
     assert s1 == tables.s1_matrix()
     assert t1.is_zero()
-    assert (s1 @ s1).is_zero()  # norm block for sigma on the submodule
-    assert (t1 @ t1).is_zero()  # norm block for tau
+    assert times(s1, s1).is_zero()  # norm block for sigma on the submodule
+    assert times(t1, t1).is_zero()  # norm block for tau
     assert fl.exterior_square(s1).is_zero()
     _report(6, "S, T, S1 bit-exact; T1 = U1 = V1 = 0; exterior square of S1 = 0")
 
@@ -319,8 +319,8 @@ def test_c12_property_suites():
     for _ in range(20):
         mod = random_commuting_module(rng)
         x, y, z = package_complex(mod)
-        assert (x @ y).is_zero()
-        assert (y @ z).is_zero()
+        assert times(x, y).is_zero()
+        assert times(y, z).is_zero()
     u = GroupRingElement.from_dict(6, 0, {(2,): 3, (3,): 2})
     assert dlog(u).is_zero()
     _report(12, "cocycle identity, multiplicativity, complex property, dlog regression")

@@ -8,7 +8,6 @@ from fermat_homology.bsigma import (
     b_map_analysis,
     bsigma_p3,
     gamma_oracle_p3,
-    in_augmentation_ideal,
     prime_field_image,
     verify_bsigma,
 )
@@ -22,6 +21,7 @@ from fermat_homology.group_ring import (
     ideal_span,
     swap_w,
 )
+from fermat_homology.homology import RelativeClass, boundary_delta
 from fermat_homology.scalars import GF27, Zmod
 from oracles import convolution
 
@@ -89,6 +89,12 @@ def test_structural_report_on_degenerate_inputs():
     assert verify_bsigma(GroupRingElement.one(3, 1)).all_pass
     report = verify_bsigma(eps(0))
     assert not report.symmetric
+
+
+def in_augmentation_ideal(x):
+    """Membership of x in (1 - e_0)(1 - e_1) Lambda_1 over Z/n, the test
+    ``verify_bsigma`` makes on B - 1: a zero boundary."""
+    return boundary_delta(RelativeClass(x)).is_zero()
 
 
 def test_augmentation_ideal_membership_is_sharp():

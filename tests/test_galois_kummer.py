@@ -85,6 +85,9 @@ def test_validation_errors():
         KummerCoordinates(3, (0, 0, 0))
     with pytest.raises(ValueError):
         PsiVector(3, (1,))
+    for p, entries in ((4, (1, 2, 3)), (9, tuple(range(8))), (1, ()), (2, (1,))):
+        with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
+            PsiVector(p, entries)
 
 
 def test_json_round_trip():

@@ -78,7 +78,7 @@ def test_gamma_inverse_closed_form():
     for c1 in range(3):
         for c2 in range(3):
             for _, gamma in gamma_oracle_p3(c1, c2):
-                d1, d2 = gamma.coeff(1), gamma.coeff(2)
+                d1, d2 = gamma.coeffs[1], gamma.coeffs[2]
                 diff = GF27.sub(d2, d1)
                 diff_sq = GF27.mul(diff, diff)
                 formula = GroupRingElement.from_dict(
@@ -133,17 +133,18 @@ def test_d_prime_kills_the_generator():
 def test_d_prime_of_gamma_is_b():
     for _, gamma in gamma_oracle_p3(0, 1):
         image = d_prime(gamma)
+        grid = image.grid()
         collapsed = GroupRingElement.from_dict(
             3,
             1,
             {
-                (i, j): image.coeff(i, j)[0]
+                (i, j): grid[i][j][0]
                 for i in range(3)
                 for j in range(3)
             },
         )
         assert all(
-            all(x == 0 for x in image.coeff(i, j)[1:])
+            all(x == 0 for x in grid[i][j][1:])
             for i in range(3)
             for j in range(3)
         )
@@ -211,6 +212,16 @@ def test_differential_component_count_enforced():
 def test_mixed_arity_rejected():
     with pytest.raises(ArityMismatch):
         eps(3, 0, 0) * eps(3, 1, 0)
+    for m in (-1, -2):
+        with pytest.raises(ArityMismatch, match=f"^m must be at least 0, got {m}$"):
+            GroupRingElement.one(3, m)
+    x = GroupRingElement.monomial(3, 1, (1, 2))
+    for k in (-1, 2):
+        with pytest.raises(ArityMismatch, match="^k must be a variable 0..1, got "):
+            x.derivative(k)
+    for targets in (((0,), (-1,)), ((0,), (5,))):
+        with pytest.raises(ArityMismatch, match="^targets must be variables 0..1, got "):
+            x.substitute(1, targets)
 
 
 @pytest.mark.parametrize(
