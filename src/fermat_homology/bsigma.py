@@ -18,7 +18,7 @@ from . import fp_linalg
 from ._value import frozen
 from .errors import NotAUnit, NotSymmetric
 from .galois_kummer import group_elements
-from .group_ring import GroupRingElement, d_prime_prime, swap_w
+from .group_ring import GroupRingElement, d_prime_prime
 from .homology import RelativeClass, boundary_delta
 from .scalars import GF27, Zmod
 
@@ -78,6 +78,8 @@ def gamma_oracle_p3(c1: int, c2: int) -> list[tuple[tuple, GroupRingElement]]:
 def prime_field_image(a: GroupRingElement) -> GroupRingElement | None:
     """Rewrite an extension-field element over Z/p when every coefficient
     lies in the prime field; None otherwise."""
+    if isinstance(a.ring, Zmod):
+        raise ValueError(f"an extension-field element is required, got {a.ring!r}")
     values = []
     for c in a.coeffs:
         v = a.ring.to_prime_int(c)
@@ -129,7 +131,7 @@ def verify_bsigma(b: GroupRingElement) -> VerificationReport:
     # B - 1 lies in (1 - e_0)(1 - e_1) Lambda_1 exactly when its boundary
     # vanishes: the augmentation ideal of Z/n[e] is (1 - e) Z/n[e], a direct
     # summand, so ker(e_0 -> 1) and ker(e_1 -> 1) meet in its tensor square
-    return VerificationReport(b == swap_w(b), sums_ok, delta.is_zero(), d_second_ok)
+    return VerificationReport(b.is_symmetric(), sums_ok, delta.is_zero(), d_second_ok)
 
 
 # The published kernel relations for the linear map sending a group element

@@ -254,7 +254,8 @@ def wedge_module() -> GModule:
     construction.  The functorial module, with actions L(sigma) and
     L(tau), is a different one.
     """
-    s1, t1 = h1u_module().blocks[:2]
-    ident6 = FpMatrix.identity(3, 6)
-    s_wedge, t_wedge = fp_linalg.exterior_square(s1), fp_linalg.exterior_square(t1)
-    return GModule(3, 6, ident6 - s_wedge, ident6 - t_wedge)
+    actions = [
+        FpMatrix(3, 6, 6, fp_linalg._dense(_one_minus(fp_linalg.exterior_square(b)), 6))
+        for b in h1u_module().blocks[:2]
+    ]
+    return GModule(3, 6, *actions)

@@ -47,10 +47,9 @@ SparseRow = dict[int, int]
 
 @frozen
 class FpMatrix:
-    """Dense matrix over Z/p with every entry reduced into [0, p).
-
-    The constructor checks the shape and trusts the entries; ``from_rows``
-    reduces them."""
+    """Dense matrix over Z/p, a checked record: the constructor checks that
+    p is prime, then the shape, and trusts the entries; ``from_rows``
+    reduces them.  Arithmetic works on sparse rows (``_matmul``)."""
 
     p: int
     rows: int
@@ -58,42 +57,18 @@ class FpMatrix:
     entries: tuple[Vector, ...]
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"modulus must be prime, got {self.p}")
         if len(self.entries) != self.rows or any(len(row) != self.cols for row in self.entries):
             raise ValueError(f"entries are not {self.rows} rows of {self.cols}")
 
     @classmethod
     def from_rows(cls, p: int, rows) -> "FpMatrix":
-        if not is_prime(p):
+        if not is_prime(p):  # before the entries are reduced mod p
             raise ValueError(f"modulus must be prime, got {p}")
         # index, not int: a float or a string entry raises TypeError
         table = tuple(tuple([index(x) % p for x in row]) for row in rows)
         return cls(p, len(table), len(table[0]) if table else 0, table)
-
-    @classmethod
-    def identity(cls, p: int, n: int) -> "FpMatrix":
-        if not is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
-        rows = tuple(tuple([1 if i == j else 0 for j in range(n)]) for i in range(n))
-        return cls(p, n, n, rows)
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        if (self.p, self.rows, self.cols) != (other.p, other.rows, other.cols):
-            raise ValueError("incompatible shapes for matrix sum")
-        p = self.p
-        entries = tuple(
-            tuple([(a + b) % p for a, b in zip(ra, rb)])
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return FpMatrix(p, self.rows, self.cols, entries)
-
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "FpMatrix":
-        p = self.p
-        c %= p
-        entries = tuple(tuple([(c * x) % p for x in row]) for row in self.entries)
-        return FpMatrix(p, self.rows, self.cols, entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

@@ -110,6 +110,8 @@ class GroupRingElement:
     @classmethod
     def from_grid(cls, n, rows) -> "GroupRingElement":
         """Two-variable element over Z/n from an n x n table; rows index e_0 powers."""
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ArityMismatch(f"expected {n} rows of {n} coefficients")
         return cls.from_dict(n, 1, {(i, j): rows[i][j] for i in range(n) for j in range(n)})
 
     # -- basic structure ----------------------------------------------
@@ -130,10 +132,10 @@ class GroupRingElement:
 
     def _check_compatible(self, other: "GroupRingElement") -> None:
         if (self.n, self.m, self.ring) != (other.n, other.m, other.ring):
-            raise ArityMismatch(
-                f"incompatible elements: (n={self.n}, m={self.m}) vs "
-                f"(n={other.n}, m={other.m})"
-            )
+            a, b = (f"n={x.n}, m={x.m}" for x in (self, other))
+            if self.ring != other.ring:
+                a, b = f"{a}, ring={self.ring!r}", f"{b}, ring={other.ring!r}"
+            raise ArityMismatch(f"incompatible elements: ({a}) vs ({b})")
 
     # -- ring operations ----------------------------------------------
 

@@ -12,9 +12,11 @@ plain sums over the rows.  A subquotient's cosets come from reducing
 each kernel vector against the image, not from the package's rule that
 keeps the kernel rows off the image pivots.
 
-Four oracles use nothing of the package at all.  ``matrix_product``
-multiplies lists of rows entry by entry (``times`` applies it to two
-``FpMatrix`` values and only packs the result).  ``dense_complex``
+Six oracles use nothing of the package at all.  ``matrix_product``
+multiplies lists of rows entry by entry, ``unit_rows`` writes the
+identity out and ``matrix_combination`` sums multiples of lists of rows
+(``times``, ``identity``, ``combination`` and ``one_minus`` apply them to
+``FpMatrix`` values and only pack the result).  ``dense_complex``
 writes the total complex of a module out over plain lists, block by
 block, by the bidegree rule, with S = 1 - sigma and the norm U = 1 +
 sigma + ... + sigma^(p-1) taken as a sum of powers, not as S^(p-1).
@@ -232,11 +234,45 @@ def matrix_product(p: int, a, b) -> list[list[int]]:
     ]
 
 
+def unit_rows(n: int) -> list[list[int]]:
+    """The n x n identity matrix as a list of rows."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def matrix_combination(p: int, terms) -> list[list[int]]:
+    """The sum of c a over (c, a) pairs of an integer and a matrix given as
+    a list of rows, entry by entry."""
+    (_, first), *_ = terms
+    total = [[0] * len(row) for row in first]
+    for c, a in terms:
+        assert [len(row) for row in a] == [len(row) for row in first], "incompatible shapes"
+        total = [[x + c * y for x, y in zip(r, q)] for r, q in zip(total, a)]
+    return [[x % p for x in row] for row in total]
+
+
 def times(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     """a b for two matrices over Z/p, by ``matrix_product``;
     ``FpMatrix.from_rows`` only packs the result."""
     assert a.p == b.p and a.cols == b.rows, "incompatible shapes for matrix product"
     return FpMatrix.from_rows(a.p, matrix_product(a.p, a.entries, b.entries))
+
+
+def identity(p: int, n: int) -> FpMatrix:
+    """The n x n identity over Z/p, from ``unit_rows``."""
+    return FpMatrix.from_rows(p, unit_rows(n))
+
+
+def combination(*terms) -> FpMatrix:
+    """The sum of c a over (c, a) pairs of an integer and a matrix over Z/p,
+    by ``matrix_combination``; ``FpMatrix.from_rows`` only packs it."""
+    p = terms[0][1].p
+    assert all(a.p == p for _, a in terms), "matrices over different moduli"
+    return FpMatrix.from_rows(p, matrix_combination(p, [(c, a.entries) for c, a in terms]))
+
+
+def one_minus(a: FpMatrix) -> FpMatrix:
+    """1 - a for a square matrix over Z/p, by ``combination``."""
+    return combination((1, identity(a.p, a.rows)), (-1, a))
 
 
 def dense_complex(mod, top: int = 2) -> list[list[list[int]]]:
@@ -250,20 +286,18 @@ def dense_complex(mod, top: int = 2) -> list[list[list[int]]]:
     the sums of the p powers of sigma and tau (Brown, GTM 87).
     """
     p, n = mod.p, mod.dim
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def one_minus(act):
-        return [[(ident[i][j] - act[i][j]) % p for j in range(n)] for i in range(n)]
+    ident = unit_rows(n)
 
     def norm(act):
         total = power = ident
         for _ in range(p - 1):
             power = matrix_product(p, power, act)
-            total = [[(x + y) % p for x, y in zip(r, q)] for r, q in zip(total, power)]
+            total = matrix_combination(p, [(1, total), (1, power)])
         return total
 
     sigma, tau = mod.act_sigma.entries, mod.act_tau.entries
-    s, t, u, v = one_minus(sigma), one_minus(tau), norm(sigma), norm(tau)
+    s, t = (matrix_combination(p, [(1, ident), (-1, act)]) for act in (sigma, tau))
+    u, v = norm(sigma), norm(tau)
     maps = []
     for k in range(top + 1):
         d = [[0] * ((k + 2) * n) for _ in range((k + 1) * n)]

@@ -37,14 +37,19 @@ from fermat_homology.reference_tables import (
 from oracles import (
     bar_cohomology_trivial,
     closure_rank,
+    combination,
     degree_one_coboundary,
     dense_complex,
+    identity,
+    matrix_combination,
     matrix_product,
+    one_minus,
     row_times,
     residue_subquotient,
     rref_residue,
     solve,
     times,
+    unit_rows,
 )
 
 
@@ -60,7 +65,7 @@ def package_complex(mod, top=2):
 
 
 def trivial_module(p, dim):
-    ident = fl.FpMatrix.identity(p, dim)
+    ident = identity(p, dim)
     return GModule(p, dim, ident, ident)
 
 
@@ -75,9 +80,11 @@ def random_commuting_module(rng, p=3, dim=6):
         for i in range(dim)
     ]
     n_mat = fl.FpMatrix.from_rows(p, nil)
-    ident = fl.FpMatrix.identity(p, dim)
-    act_a = ident + n_mat
-    act_b = ident + n_mat.scale(rng.randrange(p)) + times(n_mat, n_mat).scale(rng.randrange(p))
+    ident = identity(p, dim)
+    act_a = combination((1, ident), (1, n_mat))
+    act_b = combination(
+        (1, ident), (rng.randrange(p), n_mat), (rng.randrange(p), times(n_mat, n_mat))
+    )
     return random_conjugate(rng, GModule(p, dim, act_a, act_b))
 
 
@@ -113,14 +120,25 @@ def test_gmodule_rejects_non_commuting_actions():
 def test_gmodule_rejects_wrong_order():
     a = fl.FpMatrix.from_rows(3, [[2]])
     with pytest.raises(InvalidAction):
-        GModule(3, 1, a, fl.FpMatrix.identity(3, 1))
+        GModule(3, 1, a, identity(3, 1))
+
+
+@pytest.mark.parametrize("p", (0, 1, 4, 9))
+def test_gmodule_over_a_non_prime_modulus_is_rejected(p):
+    """No matrix over Z/p exists for p not prime, and matrices over another
+    modulus are the wrong actions."""
+    with pytest.raises(ValueError, match=f"^modulus must be prime, got {p}$"):
+        GModule(p, 1, fl.FpMatrix(p, 1, 1, ((1,),)), fl.FpMatrix(p, 1, 1, ((1,),)))
+    ident = identity(3, 1)
+    with pytest.raises(InvalidAction, match="^sigma action has the wrong shape or modulus$"):
+        GModule(p, 1, ident, ident)
 
 
 @pytest.mark.parametrize("sigma", [((1, 4), (0, 1)), ((4, 3), (3, 4)), ((-2, 1), (0, 7))])
 def test_gmodule_reduces_the_entries_of_a_raw_matrix(sigma):
     """FpMatrix's constructor keeps the entries it is given; the module
     made from them has the blocks and the cohomology of the reduced one."""
-    ident = fl.FpMatrix.identity(3, 2)
+    ident = identity(3, 2)
     raw = GModule(3, 2, fl.FpMatrix(3, 2, 2, sigma), ident)
     reduced = GModule(3, 2, fl.FpMatrix.from_rows(3, sigma), ident)
     assert raw.blocks == reduced.blocks
@@ -149,7 +167,7 @@ SINGULAR = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
 )
 def test_gmodule_rejections_at_larger_primes(p, sigma, tau, message):
     sigma, tau = (
-        fl.FpMatrix.identity(p, 3) if rows is None else fl.FpMatrix.from_rows(p, rows)
+        identity(p, 3) if rows is None else fl.FpMatrix.from_rows(p, rows)
         for rows in (sigma, tau)
     )
     with pytest.raises(InvalidAction, match=f"^{message}$"):
@@ -168,18 +186,18 @@ def test_order_check_at_its_boundary(p):
     """(J - 1)^p = 0 for the Jordan block J of size p, so J has order p and
     a nonzero norm (J - 1)^(p-1); at size p + 1, J has order p^2."""
     block = jordan_block(p, p)
-    mod = GModule(p, p, block, fl.FpMatrix.identity(p, p))
+    mod = GModule(p, p, block, identity(p, p))
     _, y, _ = package_complex(mod)
     assert any(any(row[:p]) for row in y.entries[:p])
     big = jordan_block(p, p + 1)
-    ident = fl.FpMatrix.identity(p, p + 1)
+    ident = identity(p, p + 1)
     with pytest.raises(InvalidAction, match="^sigma action does not have order dividing p$"):
         GModule(p, p + 1, big, ident)
     with pytest.raises(InvalidAction, match="^tau action does not have order dividing p$"):
         GModule(p, p + 1, ident, big)
     singular = fl.FpMatrix.from_rows(p, block.entries[:-1] + ((0,) * p,))
     with pytest.raises(InvalidAction, match="^sigma action is not invertible$"):
-        GModule(p, p, singular, fl.FpMatrix.identity(p, p))
+        GModule(p, p, singular, identity(p, p))
 
 
 def reference_h_groups(mod):
@@ -273,7 +291,8 @@ def package_names(func, seen=()):
 
 def test_the_dense_oracles_use_nothing_of_the_package():
     assert package_names(dense_complex) == package_names(solve) == set()
-    assert package_names(matrix_product) == set()
+    assert package_names(matrix_product) == package_names(matrix_combination) == set()
+    assert package_names(unit_rows) == set()
     assert package_names(bar_cohomology_trivial) == set()
     # the walk does see a package name where one is read
     assert package_names(random_commuting_module) >= {"fl", "GModule"}
@@ -333,16 +352,15 @@ def test_norm_equals_the_sum_of_powers(p):
         [row[:dim] for row in y.entries[:dim]],
         [row[2 * dim :] for row in y.entries[dim:]],
     )
-    ident = fl.FpMatrix.identity(p, dim)
     norms = []
     for act, block in zip((mod.act_sigma, mod.act_tau), blocks):
-        total = power = ident.entries
+        total = power = unit_rows(dim)
         for _ in range(p - 1):
             power = matrix_product(p, power, act.entries)
-            total = [[(x + y) % p for x, y in zip(r, q)] for r, q in zip(total, power)]
+            total = matrix_combination(p, [(1, total), (1, power)])
         assert [list(row) for row in block] == total
         norms.append(fl.FpMatrix.from_rows(p, total))
-    assert mod.blocks == (ident - mod.act_sigma, ident - mod.act_tau, *norms)
+    assert mod.blocks == (one_minus(mod.act_sigma), one_minus(mod.act_tau), *norms)
 
 
 def test_trivial_module_complex_is_zero():

@@ -6,7 +6,7 @@ from fermat_homology import fp_linalg as fl
 from fermat_homology.cohomology import h_groups, lambda1_module, validate_basis
 from fermat_homology.errors import NotSquare
 from fermat_homology.reference_tables import load_tables
-from oracles import closure_rank, dense_complex, rref_residue, solve, times
+from oracles import closure_rank, dense_complex, identity, rref_residue, solve, times
 
 
 def lambda1_complex():
@@ -75,7 +75,7 @@ def test_kernel_of_degree_one_map_has_dimension_13():
 
 
 def test_image_of_identity():
-    m = fl.FpMatrix.identity(3, 4)
+    m = identity(3, 4)
     assert fl.row_space_basis(3, zip(*m.entries)) == [
         tuple(1 if i == j else 0 for j in range(4)) for i in range(4)
     ]
@@ -212,7 +212,7 @@ def test_rank_nullity_on_random_matrices():
 
 
 def test_exterior_square_of_identity():
-    assert fl.exterior_square(fl.FpMatrix.identity(3, 4)) == fl.FpMatrix.identity(3, 6)
+    assert fl.exterior_square(identity(3, 4)) == identity(3, 6)
 
 
 def test_exterior_square_of_listed_s1_is_zero():
@@ -285,20 +285,10 @@ def test_results_are_deterministic():
     )
 
 
-@pytest.mark.parametrize("p", (2, 3, 7))
-def test_identity_and_scale_equal_their_from_rows_forms(p):
-    n = 4
-    ident = fl.FpMatrix.identity(p, n)
-    assert ident == fl.FpMatrix.from_rows(
-        p, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    )
-    m = random_matrix(random.Random(f"scale/{p}"), p, 3, 5)
-    for c in (-2 * p - 1, -1, 0, 1, p, p + 2, 3 * p - 1):
-        assert m.scale(c) == fl.FpMatrix.from_rows(
-            p, [[c * x for x in row] for row in m.entries]
-        )
-    with pytest.raises(ValueError):
-        fl.FpMatrix.identity(4, 2)
+@pytest.mark.parametrize("p", (0, 4))
+def test_from_rows_checks_the_modulus_before_reducing(p):
+    with pytest.raises(ValueError, match=f"^modulus must be prime, got {p}$"):
+        fl.FpMatrix.from_rows(p, [[2, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("row", ([1.5, 2.9], ["2", True]))

@@ -222,6 +222,9 @@ def test_mixed_arity_rejected():
     for targets in (((0,), (-1,)), ((0,), (5,))):
         with pytest.raises(ArityMismatch, match="^targets must be variables 0..1, got "):
             x.substitute(1, targets)
+    for grid in ([[1, 2]], [[1, 2, 0]] * 4, [[1, 2, 0, 5]] * 3, [[1, 2, 0]] * 2 + [[1]]):
+        with pytest.raises(ArityMismatch, match="^expected 3 rows of 3 coefficients$"):
+            GroupRingElement.from_grid(3, grid)
 
 
 @pytest.mark.parametrize(

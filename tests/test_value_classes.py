@@ -150,7 +150,7 @@ def test_fp_matrix_repr():
 
 
 def test_gmodule_equality_and_repr_ignore_the_cached_blocks():
-    ident = FpMatrix.identity(3, 1)
+    ident = FpMatrix(3, 1, 1, ((1,),))
     a, b = GModule(3, 1, ident, ident), GModule(3, 1, ident, ident)
     assert a._blocks is not b._blocks
     object.__setattr__(b, "_blocks", None)
@@ -172,7 +172,7 @@ def test_post_init_is_looked_up_on_the_class_at_construction(monkeypatch):
         original(self)
 
     monkeypatch.setattr(GModule, "__post_init__", counted)
-    ident = FpMatrix.identity(3, 2)
+    ident = FpMatrix(3, 2, 2, ((1, 0), (0, 1)))
     GModule(3, 2, ident, ident)
     assert calls == [2]
 
@@ -217,6 +217,22 @@ def test_integer_tables_reject_non_integer_entries(make):
 def test_fp_matrix_checks_the_shape(make, shape):
     with pytest.raises(ValueError, match=f"^entries are not {shape}$"):
         make()
+
+
+@pytest.mark.parametrize(
+    "p, rows, cols, entries",
+    [
+        *((p, 1, 1, ((1,),)) for p in (0, 1, 4, 9, -3)),
+        (4, 2, 2, ((1,),)),  # the shape is wrong too, and checked second
+        (4, 2, 2, ((1, 0), (0, 1))),
+        # (2, 0) M = 0 over Z/4, but elimination as over a field finds rank 2
+        (4, 2, 2, ((2, 0), (0, 1))),
+        (6, 0, 0, ()),
+    ],
+)
+def test_fp_matrix_checks_the_modulus_first(p, rows, cols, entries):
+    with pytest.raises(ValueError, match=f"^modulus must be prime, got {p}$"):
+        FpMatrix(p, rows, cols, entries)
 
 
 @pytest.mark.parametrize(
