@@ -50,6 +50,7 @@ im d^(k-1), and otherwise ``ContainmentViolation`` is raised.
 from __future__ import annotations
 
 import functools
+import operator
 
 from . import fp_linalg
 from ._value import frozen
@@ -71,7 +72,7 @@ class GModule:
     act_tau: FpMatrix
 
     def __post_init__(self):
-        p = self.p
+        p = operator.index(self.p)  # a float p would match a matrix's int p
         matmul = functools.partial(fp_linalg._matmul, p)
         identity = [{i: 1} for i in range(self.dim)]
         blocks = []

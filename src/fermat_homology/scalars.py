@@ -10,15 +10,20 @@ working over.  ``add``, ``sub`` and ``mul`` return *a* representative:
 over Z/n they are the integer operations, so ``Zmod(5).mul(3, 4)`` is 12.
 Only ``reduce`` promises the canonical form that elements compare in; it
 reads integers through ``operator.index`` (a float raises ``TypeError``)
-and an int c as the multiple c * 1 of the unit.
+and an int c as the multiple c * 1 of the unit.  Both rings are ``frozen``
+records, and each constructor checks its modulus.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
+
+from ._value import frozen
 
 
 def is_prime(n: int) -> bool:
+    n = operator.index(n)  # a float such as 3.0 raises TypeError
     if n < 2:
         return False
     d = 2
@@ -43,57 +48,67 @@ def _power(x, k: int, mul, one):
     return result
 
 
+@frozen
 class Zmod:
     """The ring Z/n acting on plain integers; only ``reduce`` reduces."""
+
+    n: int
 
     add = operator.add
     sub = operator.sub
     mul = operator.mul
+    zero = 0
+    one = 1
 
-    def __init__(self, n: int) -> None:
+    def __post_init__(self) -> None:
+        n = self.n
+        is_field = is_prime(n)  # reads n through operator.index
         if n < 2:
             raise ValueError(f"modulus must be at least 2, got {n}")
-        self.n = n
-        self.zero = 0
-        self.one = 1
-        self.is_field = is_prime(n)
-        self.char = n if self.is_field else None
-        self.size = n
+        object.__setattr__(self, "is_field", is_field)
+        object.__setattr__(self, "char", n if is_field else None)
+        object.__setattr__(self, "size", n)
 
     def reduce(self, a: int) -> int:
         return operator.index(a) % self.n
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Zmod) and other.n == self.n
 
-    def __hash__(self) -> int:
-        return hash(("Zmod", self.n))
-
-    def __repr__(self) -> str:
-        return f"Zmod({self.n})"
-
-
+@frozen
 class PrimeExtensionField:
     """F_{p^k} as F_p[t] modulo a fixed monic irreducible polynomial.
 
     ``modulus`` lists the coefficients of the monic modulus from the
     constant term up, so ``(2, 2, 0, 1)`` over p=3 is t^3 - t - 1.
-    Elements are length-k tuples of residues, low degree first.
+    Elements are length-k tuples of residues, low degree first.  A modulus
+    of degree k < 1, or with a monic factor of degree 1 to k // 2 (found
+    by trial division), is rejected.
     """
 
-    def __init__(self, p: int, modulus: tuple[int, ...]) -> None:
+    p: int
+    modulus: tuple[int, ...]
+
+    is_field = True
+
+    def __post_init__(self) -> None:
+        p = self.p
         if not is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
-        if modulus[-1] % p != 1:
+        modulus = tuple(operator.index(c) % p for c in self.modulus)
+        k = len(modulus) - 1
+        if k < 1:
+            raise ValueError(f"modulus must have degree at least 1, got {self.modulus}")
+        if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        self.p = p
-        self.degree = len(modulus) - 1
-        self.modulus = tuple(c % p for c in modulus)
-        self.zero = (0,) * self.degree
-        self.one = (1,) + (0,) * (self.degree - 1)
-        self.is_field = True
-        self.char = p
-        self.size = p ** self.degree
+        for d in range(1, k // 2 + 1):
+            for low in itertools.product(range(p), repeat=d):
+                if not any(_remainder(p, modulus, low + (1,))):
+                    raise ValueError(f"modulus {self.modulus} is reducible over F_{p}")
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "degree", k)
+        object.__setattr__(self, "zero", (0,) * k)
+        object.__setattr__(self, "one", (1,) + (0,) * (k - 1))
+        object.__setattr__(self, "char", p)
+        object.__setattr__(self, "size", p**k)
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
@@ -102,43 +117,39 @@ class PrimeExtensionField:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        k, p, modulus = self.degree, self.p, self.modulus
-        prod = [0] * (2 * k - 1)
+        prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        # c t^d = c t^(d-k) (t^k - f) modulo the modulus f, from the top down
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d] % p
-            if c:
-                for i in range(k):
-                    prod[d - k + i] -= c * modulus[i]
-        return tuple(c % p for c in prod[:k])
+        return _remainder(self.p, prod, self.modulus)
 
     def reduce(self, a):
-        """The canonical form of a coefficient tuple, or of the int a * 1."""
+        """The canonical form of a coefficient tuple of length k, or of the
+        int a * 1."""
         if isinstance(a, int):
             return (a % self.p,) + self.zero[1:]
+        if len(a) != self.degree:
+            raise ValueError(f"expected {self.degree} coordinates, got {len(a)}")
         return tuple(operator.index(x) % self.p for x in a)
 
     def to_prime_int(self, a):
         """The prime-field value of a reduced ``a``, or None if a is not in F_p."""
         return None if any(a[1:]) else a[0]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PrimeExtensionField)
-            and other.p == self.p
-            and other.modulus == self.modulus
-        )
 
-    def __hash__(self) -> int:
-        return hash(("PrimeExtensionField", self.p, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"PrimeExtensionField(p={self.p}, modulus={self.modulus})"
+def _remainder(p: int, f, g) -> tuple[int, ...]:
+    """f mod the monic g over F_p, both low degree first.  Each top term
+    c t^d = c t^(d-k) (t^k - g) modulo g, from the top down."""
+    r = list(f)
+    k = len(g) - 1
+    for d in range(len(r) - 1, k - 1, -1):
+        c = r[d] % p
+        if c:
+            for i in range(k):
+                r[d - k + i] -= c * g[i]
+    return tuple(c % p for c in r[:k])
 
 
 # F_27 = F_3[t]/(t^3 - t - 1), large enough to split x^3 - x + c for c in F_3.

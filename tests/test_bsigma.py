@@ -254,7 +254,7 @@ def test_gamma_oracle_matches_closed_form_everywhere():
                 collapsed = prime_field_image(d_prime(gamma))
                 assert collapsed is not None, (c1, c2, alpha)
                 assert collapsed == expected[c1, c2]
-    with pytest.raises(ValueError, match=r"^an extension-field element is required, got Zmod\(3\)$"):
+    with pytest.raises(ValueError, match=r"^an extension-field element is required, got Zmod\(n=3\)$"):
         prime_field_image(bsigma_p3(1, 0))
 
 

@@ -134,6 +134,14 @@ def test_gmodule_over_a_non_prime_modulus_is_rejected(p):
         GModule(p, 1, ident, ident)
 
 
+def test_gmodule_reads_p_as_an_integer():
+    """p = 3.0 equals the actions' p = 3, so it is read through
+    operator.index before the two are compared."""
+    ident = identity(3, 1)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        GModule(3.0, 1, ident, ident)
+
+
 @pytest.mark.parametrize("sigma", [((1, 4), (0, 1)), ((4, 3), (3, 4)), ((-2, 1), (0, 7))])
 def test_gmodule_reduces_the_entries_of_a_raw_matrix(sigma):
     """FpMatrix's constructor keeps the entries it is given; the module

@@ -360,7 +360,7 @@ def test_action_matrix_on_an_empty_basis_is_zero_by_zero():
         (
             GroupRingElement.monomial(3, 1, (1, 0), ring=GF27),
             "(n=3, m=1, ring=PrimeExtensionField(p=3, modulus=(2, 2, 0, 1))) vs "
-            "(n=3, m=1, ring=Zmod(3))",
+            "(n=3, m=1, ring=Zmod(n=3))",
         ),
     ],
 )

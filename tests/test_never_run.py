@@ -3,12 +3,12 @@
 
 The commands run in a fresh interpreter whose profile hook is installed
 before ``fermat_homology`` is imported: some code runs only at import
-(``frozen`` building the record classes, ``PrimeExtensionField.__init__``
-building GF27), and ``load_tables`` is cached, so a probe inside the test
-process would miss them.  Functions are named by module and qualified
-name, read from the source with ``ast``: Python 3.10 has no
-``co_qualname``, and a decorated function's code starts at the line of its
-first decorator.
+(``frozen`` building the record classes,
+``PrimeExtensionField.__post_init__`` checking GF27's modulus), and
+``load_tables`` is cached, so a probe inside the test process would miss
+them.  Functions are named by module and qualified name, read from the
+source with ``ast``: Python 3.10 has no ``co_qualname``, and a decorated
+function's code starts at the line of its first decorator.
 """
 
 import ast
@@ -37,11 +37,6 @@ _VALUE_PROTOCOL = "protocol method of a value class"
 ALLOWLIST = {
     "_value.frozen.<locals>.__repr__": _VALUE_PROTOCOL,
     "_value._immutable": _VALUE_PROTOCOL,
-    "scalars.Zmod.__hash__": _VALUE_PROTOCOL,
-    "scalars.Zmod.__repr__": _VALUE_PROTOCOL,
-    "scalars.PrimeExtensionField.__eq__": _VALUE_PROTOCOL,
-    "scalars.PrimeExtensionField.__hash__": _VALUE_PROTOCOL,
-    "scalars.PrimeExtensionField.__repr__": _VALUE_PROTOCOL,
     "group_ring.GroupRingElement.from_json": "the cli promises the bsigma payload reads back",
     "galois_kummer.KummerCoordinates.from_json": "the cli promises the psi input reads back",
     "galois_kummer.KummerCoordinates.__add__": "the law psi(g + h) = psi(g) + psi(h), tested",

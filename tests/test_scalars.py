@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from fermat_homology.group_ring import GroupRingElement
 from fermat_homology.scalars import GF27, PrimeExtensionField, Zmod
 from oracles import long_division_product
 
@@ -55,3 +56,31 @@ def test_random_products_match_long_division(name):
         low, high = (-p, 2 * p) if trial % 4 == 0 else (0, p)
         a, b = (tuple(rng.randrange(low, high) for _ in range(k)) for _ in range(2))
         assert field.mul(a, b) == long_division_product(p, field.modulus, a, b), (a, b)
+
+
+@pytest.mark.parametrize(
+    "p, modulus, message",
+    [
+        (3, (), "modulus must have degree at least 1, got ()"),
+        (3, (1,), "modulus must have degree at least 1, got (1,)"),
+        # t^3: t * t^2 would be 0
+        (3, (0, 0, 0, 1), "modulus (0, 0, 0, 1) is reducible over F_3"),
+        (3, (1, 0, 0, 1), "modulus (1, 0, 0, 1) is reducible over F_3"),  # (t + 1)^3
+        (2, (1, 0, 1), "modulus (1, 0, 1) is reducible over F_2"),  # (t + 1)^2
+        # (t^2 + 2)(t^2 + 3): no root, so only a quadratic factor shows it
+        (5, (1, 0, 0, 0, 1), "modulus (1, 0, 0, 0, 1) is reducible over F_5"),
+    ],
+)
+def test_the_modulus_must_be_irreducible_of_degree_at_least_one(p, modulus, message):
+    with pytest.raises(ValueError) as info:
+        PrimeExtensionField(p, modulus)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("a", [(1, 2), (1, 2, 0, 1)])
+def test_reduce_rejects_a_tuple_of_the_wrong_length(a):
+    with pytest.raises(ValueError, match=f"^expected 3 coordinates, got {len(a)}$"):
+        GF27.reduce(a)
+    with pytest.raises(ValueError, match=f"^expected 3 coordinates, got {len(a)}$"):
+        GroupRingElement(3, 0, GF27, (a, GF27.zero, GF27.zero))
+

@@ -2,11 +2,14 @@
 
 Every record class is constructed positionally and by keyword, compared,
 hashed, printed and frozen the same way; the field names, their order,
-the defaults and the literal reprs below are pinned.  A last test checks
-in a fresh interpreter that importing the CLI pulls in neither
-`dataclasses` nor `inspect` nor `importlib.resources`.
+the defaults and the literal reprs below are pinned.  One test parses the
+package and fails on a class outside `_value` that defines any of these
+protocol methods itself.  A last test checks in a fresh interpreter that
+importing the CLI pulls in neither `dataclasses` nor `inspect` nor
+`importlib.resources`.
 """
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -24,7 +27,7 @@ from fermat_homology.group_ring import DifferentialElement, GroupRingElement
 from fermat_homology.homology import BoundaryClass, RelativeClass
 from fermat_homology.reference_tables import TableFinding
 from fermat_homology.reproduction import CheckResult
-from fermat_homology.scalars import GF27, Zmod
+from fermat_homology.scalars import GF27, PrimeExtensionField, Zmod
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -79,6 +82,9 @@ def _cases():
          ("k", 0, ("e",), None, "why"), ("k", 0, ("e",), None, "other")),
         (CheckResult, ("name", "passed", "detail", "flag"),
          ("c01", True, "d", "f"), ("c01", True, "d", "g")),
+        (Zmod, ("n",), (3,), (5,)),
+        # t^3 - t - 1 and t^3 + 2t + 1, both irreducible over F_3
+        (PrimeExtensionField, ("p", "modulus"), (3, (2, 2, 0, 1)), (3, (1, 2, 0, 1))),
     ]
 
 
@@ -196,8 +202,19 @@ def test_kummer_and_psi_reject_non_integer_entries(cls, entries):
         lambda: GroupRingElement(3, 0, Zmod(3), (0.5, 0, 0)),
         lambda: GroupRingElement(3, 0, GF27, ((0.5, 0, 0), GF27.zero, GF27.zero)),
         lambda: GF27.reduce((0.5, 0, 0)),
+        # a float modulus, though 3.0 == 3
+        lambda: Zmod(3.0),
+        lambda: PrimeExtensionField(3.0, (2, 2, 0, 1)),
+        lambda: FpMatrix(3.0, 1, 1, ((1,),)),
+        lambda: FpMatrix.from_rows(3.0, [[1, 2], [2, 1]]),
+        lambda: KummerCoordinates(3.0, (1, 0)),
+        lambda: PsiVector(3.0, (1, 0)),
+        lambda: CyclotomicInt(3.0, (1, 0)),
     ],
-    ids=["CyclotomicInt", "GroupRingElement-Zmod", "GroupRingElement-GF27", "GF27.reduce"],
+    ids=["CyclotomicInt", "GroupRingElement-Zmod", "GroupRingElement-GF27", "GF27.reduce",
+         *(f"{name}-3.0" for name in ("Zmod", "PrimeExtensionField", "FpMatrix",
+                                      "FpMatrix.from_rows", "KummerCoordinates", "PsiVector",
+                                      "CyclotomicInt"))],
 )
 def test_integer_tables_reject_non_integer_entries(make):
     with pytest.raises(TypeError):
@@ -248,6 +265,28 @@ def test_gmodule_invalid_action_messages(sigma, tau, message):
     with pytest.raises(InvalidAction) as info:
         GModule(3, 2, FpMatrix.from_rows(3, sigma), FpMatrix.from_rows(3, tau))
     assert str(info.value) == message
+
+
+def test_only_value_defines_the_value_protocol():
+    """Every class of the package gets equality, hashing, repr and
+    immutability from `_value.frozen`, or keeps the object defaults."""
+    protocol = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"}
+    found = []
+    for path in sorted((SRC / "fermat_homology").glob("*.py")):
+        if path.name == "_value.py":
+            continue
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        names = [node.name]
+                    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                        names = [t.id for t in targets if isinstance(t, ast.Name)]
+                    else:
+                        names = []
+                    found += [f"{path.stem}.{cls.name}.{name}" for name in names if name in protocol]
+    assert found == []
 
 
 def test_cli_import_pulls_in_no_dataclasses_inspect_or_resources():
