@@ -20,7 +20,7 @@ from .errors import NotAUnit, NotSymmetric
 from .galois_kummer import group_elements
 from .group_ring import GroupRingElement, d_prime_prime
 from .homology import RelativeClass, boundary_delta
-from .scalars import GF27, Zmod
+from .scalars import GF27, Zmod, _zmod
 
 
 def bsigma_p3(c0: int, c1: int) -> GroupRingElement:
@@ -86,7 +86,7 @@ def prime_field_image(a: GroupRingElement) -> GroupRingElement | None:
         if v is None:
             return None
         values.append(v)
-    return GroupRingElement(a.n, a.m, Zmod(a.ring.char), tuple(values))
+    return GroupRingElement(a.n, a.m, _zmod(a.ring.char), tuple(values))
 
 
 @frozen

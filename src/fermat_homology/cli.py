@@ -113,18 +113,14 @@ def _run_homology(args):
     return payload, _dimension_lines(n, [rc.w.coeffs for rc in classes]), 0
 
 
-_MODULE_BUILDERS = {
-    "lambda1": cohomology_mod.lambda1_module,
-    "h1u": cohomology_mod.h1u_module,
-    "h1x": cohomology_mod.h1x_module,
-    "wedge": cohomology_mod.wedge_module,
-}
-
-
 def _run_cohomology(args):
     if args.validate_paper:
         return _scorecard(run_checks([c for c in CHECK_IDS if c.startswith("c08.")]))
-    groups = cohomology_mod.h_groups(_MODULE_BUILDERS[args.module]())
+    if args.module == "wedge":
+        mod = cohomology_mod.wedge_module()
+    else:
+        mod = cohomology_mod.module(args.module, bsigma_p3(1, 0), bsigma_p3(0, 1))
+    groups = cohomology_mod.h_groups(mod)
     dims = f"h0 = {groups.h0.dim}, h1 = {groups.h1.dim}, h2 = {groups.h2.dim}"
     lines = [f"module {args.module}: {dims}"]
     for label, report in (("h1", groups.h1), ("h2", groups.h2)):
@@ -180,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hom.set_defaults(func=_run_homology)
 
     p_coh = sub.add_parser("cohomology", help="group cohomology of the standard modules")
-    p_coh.add_argument("--module", choices=sorted(_MODULE_BUILDERS), default="lambda1")
+    p_coh.add_argument("--module", choices=["h1u", "h1x", "lambda1", "wedge"], default="lambda1")
     p_coh.add_argument("--validate-paper", action="store_true")
     p_coh.add_argument("--json", action="store_true")
     p_coh.set_defaults(func=_run_cohomology)

@@ -55,11 +55,11 @@ import operator
 from . import fp_linalg
 from ._value import frozen
 from .bsigma import bsigma_p3
-from .errors import ContainmentViolation, InvalidAction
+from .errors import ArityMismatch, ContainmentViolation, InvalidAction
 from .fp_linalg import FpMatrix, SparseRow, SubquotientReport
 from .group_ring import GroupRingElement, multiplication_matrix
 from .homology import RelativeClass, action_matrix, h1U_basis, h1X_subquotient, stab_basis
-from .scalars import Zmod, _power
+from .scalars import _power, _zmod
 
 
 @frozen
@@ -204,45 +204,35 @@ def validate_basis(vectors, groups: CohomologyGroups, degree: int) -> BasisValid
     )
 
 
-# -- module builders for the exponent-3 coefficients --------------------
+# -- module builders ------------------------------------------------------
 
 
-def lambda1_module() -> GModule:
-    """The group ring Lambda_1 itself, with the generators acting through
-    their B multipliers."""
-    return GModule(
-        3,
-        9,
-        multiplication_matrix(bsigma_p3(1, 0)),
-        multiplication_matrix(bsigma_p3(0, 1)),
-    )
-
-
-def h1u_module() -> GModule:
-    """Homology of the affine curve in the pinned four-element basis."""
-    basis = h1U_basis(3)
-    return GModule(
-        3,
-        4,
-        action_matrix(bsigma_p3(1, 0), basis),
-        action_matrix(bsigma_p3(0, 1), basis),
-    )
-
-
-def h1x_module() -> GModule:
-    """Homology of the projective curve on the canonical coset basis."""
-    report = h1X_subquotient(3)
-    reps = [
-        RelativeClass(GroupRingElement(3, 1, Zmod(3), tuple(v)))
-        for v in report.coset_basis
-    ]
-    stab = stab_basis(3)
-    return GModule(
-        3,
-        len(reps),
-        action_matrix(bsigma_p3(1, 0), reps, modulo=stab),
-        action_matrix(bsigma_p3(0, 1), reps, modulo=stab),
-    )
+def module(kind: str, sigma: GroupRingElement, tau: GroupRingElement) -> GModule:
+    """The module ``kind`` over Z/p, p = sigma.n, with the generators acting
+    by multiplication by the two-variable elements sigma and tau: the group
+    ring Lambda_1 itself ("lambda1"), the affine homology on ``h1U_basis``
+    ("h1u"), or the projective homology on the coset basis of
+    ``h1X_subquotient`` modulo ``stab_basis`` ("h1x").  The paper's modules
+    take the B multipliers ``bsigma_p3(1, 0)`` and ``bsigma_p3(0, 1)``; the
+    natural action takes e_0 and e_1."""
+    p = sigma.n
+    if sigma.m != 1:
+        raise ArityMismatch(f"multipliers are two-variable elements, got m={sigma.m}")
+    sigma._check_compatible(tau)
+    if kind == "lambda1":
+        act = multiplication_matrix
+    elif kind == "h1u":
+        act = functools.partial(action_matrix, basis=h1U_basis(p))
+    elif kind == "h1x":
+        reps = [
+            RelativeClass(GroupRingElement(p, 1, _zmod(p), v))
+            for v in h1X_subquotient(p).coset_basis
+        ]
+        act = functools.partial(action_matrix, basis=reps, modulo=stab_basis(p))
+    else:
+        raise ValueError(f"unknown module {kind!r}; expected lambda1, h1u or h1x")
+    act_sigma = act(sigma)
+    return GModule(p, act_sigma.rows, act_sigma, act(tau))
 
 
 def wedge_module() -> GModule:
@@ -257,6 +247,6 @@ def wedge_module() -> GModule:
     """
     actions = [
         FpMatrix(3, 6, 6, fp_linalg._dense(_one_minus(fp_linalg.exterior_square(b)), 6))
-        for b in h1u_module().blocks[:2]
+        for b in module("h1u", bsigma_p3(1, 0), bsigma_p3(0, 1)).blocks[:2]
     ]
     return GModule(3, 6, *actions)

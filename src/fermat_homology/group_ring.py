@@ -34,7 +34,7 @@ from itertools import product
 from ._value import frozen
 from .errors import ArityMismatch, NotAUnit, NotSymmetric
 from .fp_linalg import FpMatrix, kernel_basis, row_space_basis
-from .scalars import Zmod, _power
+from .scalars import Zmod, _power, _zmod
 
 
 def _pack(n: int, exps: tuple[int, ...]) -> int:
@@ -98,7 +98,7 @@ class GroupRingElement:
 
     @classmethod
     def from_dict(cls, n, m, coeffs, ring=None) -> "GroupRingElement":
-        ring = ring if ring is not None else Zmod(n)
+        ring = ring if ring is not None else _zmod(n)
         table = [ring.zero] * _size(n, m)
         for exps, c in coeffs.items():
             if len(exps) != m + 1:

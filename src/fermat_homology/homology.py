@@ -20,7 +20,7 @@ from . import fp_linalg
 from ._value import frozen
 from .errors import NotInvariant
 from .group_ring import GroupRingElement, _shift
-from .scalars import Zmod, is_prime
+from .scalars import _zmod, is_prime
 
 
 @frozen
@@ -158,7 +158,7 @@ def action_matrix(
     classes = [*basis, *(modulo or [])]
     for rc in classes:
         b._check_compatible(rc.w)
-    if classes and b.ring != Zmod(n):
+    if classes and b.ring != _zmod(n):
         raise ValueError(f"action matrices are defined over Z/{n}, got {b.ring!r}")
     vectors = fp_linalg._sparse(n, [rc.w.coeffs for rc in classes])
     cols = len(vectors)

@@ -42,9 +42,8 @@ from .bsigma import (
 from .cohomology import (
     CohomologyGroups,
     GModule,
-    h1u_module,
     h_groups,
-    lambda1_module,
+    module,
     validate_basis,
     wedge_module,
 )
@@ -88,11 +87,11 @@ class RunInputs:
 
     @cached_property
     def lambda1(self) -> GModule:
-        return lambda1_module()
+        return module("lambda1", bsigma_p3(1, 0), bsigma_p3(0, 1))
 
     @cached_property
     def h1u(self) -> GModule:
-        return h1u_module()
+        return module("h1u", bsigma_p3(1, 0), bsigma_p3(0, 1))
 
     @cached_property
     def lambda1_groups(self) -> CohomologyGroups:

@@ -16,6 +16,7 @@ records, and each constructor checks its modulus.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -73,6 +74,13 @@ class Zmod:
         return operator.index(a) % self.n
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def _zmod(n: int) -> Zmod:
+    """The one ``Zmod(n)`` of the package; typed, so 3.0 is not read as 3
+    and still raises."""
+    return Zmod(n)
+
+
 @frozen
 class PrimeExtensionField:
     """F_{p^k} as F_p[t] modulo a fixed monic irreducible polynomial.
@@ -111,10 +119,10 @@ class PrimeExtensionField:
         object.__setattr__(self, "size", p**k)
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        return tuple((x + y) % self.p for x, y in zip(a, b, strict=True))
 
     def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return tuple((x - y) % self.p for x, y in zip(a, b, strict=True))
 
     def mul(self, a, b):
         prod = [0] * (2 * self.degree - 1)

@@ -21,13 +21,7 @@ from fermat_homology.bsigma import (
     prime_field_image,
     verify_bsigma,
 )
-from fermat_homology.cohomology import (
-    h1u_module,
-    h_groups,
-    lambda1_module,
-    validate_basis,
-    wedge_module,
-)
+from fermat_homology.cohomology import h_groups, module, validate_basis, wedge_module
 from fermat_homology.cyclotomic import CyclotomicInt, norm, verify_cyclotomic_identities
 from fermat_homology.galois_kummer import (
     KummerCoordinates,
@@ -61,7 +55,7 @@ from oracles import (
     row_times,
     times,
 )
-from test_cohomology import package_complex, random_commuting_module
+from test_cohomology import b_pair, package_complex, random_commuting_module
 
 
 def _report(number, text):
@@ -159,10 +153,10 @@ def test_c05_homology_ranks():
 
 def test_c06_action_matrices():
     tables = load_tables()
-    mod = lambda1_module()
+    mod = module("lambda1", *b_pair())
     assert one_minus(mod.act_sigma) == tables.s_matrix()
     assert one_minus(mod.act_tau) == tables.t_matrix()
-    sub = h1u_module()
+    sub = module("h1u", *b_pair())
     s1 = one_minus(sub.act_sigma)
     t1 = one_minus(sub.act_tau)
     assert s1 == tables.s1_matrix()
@@ -174,9 +168,9 @@ def test_c06_action_matrices():
 
 
 def test_c07_cohomology_dimensions():
-    groups = h_groups(lambda1_module())
+    groups = h_groups(module("lambda1", *b_pair()))
     assert (groups.h1.dim, groups.h2.dim) == (9, 13)
-    groups = h_groups(h1u_module())
+    groups = h_groups(module("h1u", *b_pair()))
     assert (groups.h1.dim, groups.h2.dim) == (6, 9)
     groups = h_groups(wedge_module())
     assert (groups.h1.dim, groups.h2.dim) == (12, 18)
@@ -229,8 +223,8 @@ def _listed_entries_hold(tables, key, mod, degree, as_basis) -> bool:
 
 def test_c08_listed_bases_validate():
     tables = load_tables()
-    mod_ring = lambda1_module()
-    mod_affine = h1u_module()
+    mod_ring = module("lambda1", *b_pair())
+    mod_affine = module("h1u", *b_pair())
     [misprint] = tables.findings("h1_lambda1")
     flagged = f"degree-1 group-ring list validates ({misprint.reason})"
     sub_checks = [

@@ -13,14 +13,12 @@ from fermat_homology.cohomology import (
     CohomologyGroups,
     GModule,
     _differential,
-    h1u_module,
-    h1x_module,
     h_groups,
-    lambda1_module,
+    module,
     validate_basis,
     wedge_module,
 )
-from fermat_homology.errors import ContainmentViolation, InvalidAction
+from fermat_homology.errors import ArityMismatch, ContainmentViolation, InvalidAction
 from fermat_homology.group_ring import (
     GroupRingElement,
     annihilator,
@@ -51,6 +49,26 @@ from oracles import (
     times,
     unit_rows,
 )
+
+
+KINDS = ("lambda1", "h1u", "h1x")
+
+
+def b_pair():
+    """sigma and tau as the paper lets them act at p = 3, through their B
+    multipliers."""
+    return bsigma_p3(1, 0), bsigma_p3(0, 1)
+
+
+def natural_pair(p):
+    """e_0 and e_1, the multipliers of the natural action."""
+    return GroupRingElement.monomial(p, 1, (1, 0)), GroupRingElement.monomial(p, 1, (0, 1))
+
+
+def paper_modules():
+    """The four modules of the paper at p = 3: the three kinds under B, and
+    the wedge module."""
+    return [*(module(kind, *b_pair()) for kind in KINDS), wedge_module()]
 
 
 def package_complex(mod, top=2):
@@ -234,14 +252,12 @@ def test_h_groups_matches_the_public_functions_on_random_modules(p):
 
 
 def test_h_groups_matches_the_public_functions_on_the_paper_modules():
-    for build in (lambda1_module, h1u_module, h1x_module, wedge_module):
-        mod = build()
+    for mod in paper_modules():
         assert h_groups(mod) == reference_h_groups(mod)
 
 
 def test_h_groups_records_the_prime_of_the_module():
-    for build in (lambda1_module, h1u_module, h1x_module, wedge_module):
-        mod = build()
+    for mod in paper_modules():
         assert h_groups(mod).p == mod.p == 3
     mod = random_commuting_module(random.Random("record-p/5"), p=5)
     assert h_groups(mod).p == 5
@@ -252,7 +268,8 @@ def test_validate_basis_reads_the_prime_from_the_groups(p):
     """The plain sum of two kernel vectors has entries up to 2(p - 1), so
     it is a cocycle only when read modulo the p of the groups."""
     rng = random.Random(f"wrap/{p}")
-    groups = h_groups(lambda1_module() if p == 3 else random_commuting_module(rng, p=p))
+    mod = module("lambda1", *b_pair()) if p == 3 else random_commuting_module(rng, p=p)
+    groups = h_groups(mod)
     pairs = itertools.combinations(groups.h1.kernel_basis, 2)
     sums = [tuple(x + y for x, y in zip(u, v)) for u, v in pairs]
     wrapping = [v for v in sums if max(v) >= p]
@@ -268,8 +285,8 @@ def assert_differential_matches_the_dense_oracle(mod, top=4):
 
 
 def test_differential_matches_the_dense_oracle_on_the_paper_modules():
-    for build in (lambda1_module, h1u_module, h1x_module, wedge_module):
-        assert_differential_matches_the_dense_oracle(build())
+    for mod in paper_modules():
+        assert_differential_matches_the_dense_oracle(mod)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
@@ -329,10 +346,10 @@ def broken_differential(degree):
 @pytest.mark.parametrize(
     "build",
     (
-        lambda1_module,
-        h1u_module,
-        lambda: natural_module(5, "h1u"),
-        lambda: natural_module(13, "h1u"),
+        lambda: module("lambda1", *b_pair()),
+        lambda: module("h1u", *b_pair()),
+        lambda: module("h1u", *natural_pair(5)),
+        lambda: module("h1u", *natural_pair(13)),
     ),
     ids=("lambda1", "h1u", "h1u-natural-5", "h1u-natural-13"),
 )
@@ -378,7 +395,7 @@ def test_trivial_module_complex_is_zero():
 
 def test_group_ring_blocks_match_listed_matrices():
     tables = load_tables()
-    x, y, z = package_complex(lambda1_module())
+    x, y, z = package_complex(module("lambda1", *b_pair()))
     s, t = tables.s_matrix(), tables.t_matrix()
     assert [list(row[:9]) for row in x.entries] == [list(r) for r in s.entries]
     assert [list(row[9:]) for row in x.entries] == [list(r) for r in t.entries]
@@ -395,7 +412,7 @@ def test_group_ring_blocks_match_listed_matrices():
 
 def test_affine_homology_blocks():
     tables = load_tables()
-    x, y, _ = package_complex(h1u_module())
+    x, y, _ = package_complex(module("h1u", *b_pair()))
     assert [list(row[:4]) for row in x.entries] == [list(r) for r in tables.s1_matrix().entries]
     assert [list(row[4:]) for row in x.entries] == [[0] * 4] * 4
     assert all(all(v == 0 for v in row[:4]) for row in y.entries[:4])
@@ -422,16 +439,6 @@ def dims_up_to(mod, top=TOP_DEGREE):
     )
 
 
-def natural_module(p, kind):
-    """H1(U) or the free module Lambda_1 under the natural (e_0, e_1) action."""
-    e0 = GroupRingElement.monomial(p, 1, (1, 0))
-    e1 = GroupRingElement.monomial(p, 1, (0, 1))
-    if kind == "lambda1":
-        return GModule(p, p * p, multiplication_matrix(e0), multiplication_matrix(e1))
-    basis = h1U_basis(p)
-    return GModule(p, len(basis), action_matrix(e0, basis), action_matrix(e1, basis))
-
-
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_differentials_compose_to_zero_beyond_degree_two(p):
     rng = random.Random(f"differentials/{p}")
@@ -452,30 +459,71 @@ def test_trivial_module_follows_kunneth_beyond_degree_two(p):
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_natural_action_beyond_degree_two(p):
-    assert dims_up_to(natural_module(p, "h1u")) == (1, 2, 3, 4, 5)
-    assert dims_up_to(natural_module(p, "lambda1")) == (1, 0, 0, 0, 0)
+    assert dims_up_to(module("h1u", *natural_pair(p))) == (1, 2, 3, 4, 5)
+    assert dims_up_to(module("h1x", *natural_pair(p))) == (1, 2, 3, 4, 5)
+    assert dims_up_to(module("lambda1", *natural_pair(p))) == (1, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_cohomology_does_not_depend_on_the_basis(p):
     """H1(U) under the natural action in a random basis, where the action
     matrices have dense rows, has the cohomology of the natural basis."""
-    natural = natural_module(p, "h1u")
+    natural = module("h1u", *natural_pair(p))
     conjugated = random_conjugate(random.Random(f"basis/{p}"), natural)
     assert conjugated != natural
     assert h_groups(conjugated).dims() == h_groups(natural).dims() == (1, 2, 3)
 
 
 def test_paper_modules_beyond_degree_two():
-    assert dims_up_to(lambda1_module()) == (5, 9, 13, 17, 21)
-    assert dims_up_to(h1u_module()) == (3, 6, 9, 12, 15)
+    assert dims_up_to(module("lambda1", *b_pair())) == (5, 9, 13, 17, 21)
+    assert dims_up_to(module("h1u", *b_pair())) == (3, 6, 9, 12, 15)
+
+
+def test_module_under_b_gives_the_paper_actions():
+    """Lambda_1 acted on by 1 - S and 1 - T of the tables, H1(U) by 1 - S1
+    and the identity, and H1(X) by the identity twice."""
+    tables = load_tables()
+    lambda1, h1u, h1x = (module(kind, *b_pair()) for kind in KINDS)
+    assert one_minus(lambda1.act_sigma) == tables.s_matrix()
+    assert one_minus(lambda1.act_tau) == tables.t_matrix()
+    assert h1u.act_sigma.entries == ((2, 1, 1, 1), (2, 0, 2, 2), (2, 2, 0, 2), (1, 1, 1, 2))
+    assert h1u.act_tau == identity(3, 4)
+    assert h1x.act_sigma == h1x.act_tau == identity(3, 2)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_module_under_the_natural_action_multiplies_by_e0_and_e1(p):
+    e0, e1 = natural_pair(p)
+    basis = h1U_basis(p)
+    lambda1 = GModule(p, p * p, multiplication_matrix(e0), multiplication_matrix(e1))
+    h1u = GModule(p, len(basis), action_matrix(e0, basis), action_matrix(e1, basis))
+    assert module("lambda1", e0, e1) == lambda1
+    assert module("h1u", e0, e1) == h1u
+
+
+@pytest.mark.parametrize(
+    "kinds, sigma, tau, error, match",
+    (
+        (("wedge", "h1y"), *b_pair(), ValueError, "^unknown module"),
+        (KINDS, *[GroupRingElement.monomial(3, 0, (1,))] * 2, ArityMismatch, "two-variable"),
+        (KINDS, *[GroupRingElement.monomial(3, 2, (1, 0, 0))] * 2, ArityMismatch, "two-variable"),
+        (KINDS, bsigma_p3(1, 0), natural_pair(5)[1], ArityMismatch, "^incompatible"),
+    ),
+    ids=("unknown-kind", "one-variable", "three-variable", "p-3-and-5"),
+)
+def test_module_rejects_its_inputs(kinds, sigma, tau, error, match):
+    """Over Lambda_0 at p = 3, multiplication would give a 3-dimensional
+    module without an error, so the arity is checked before any action."""
+    for kind in kinds:
+        with pytest.raises(error, match=match):
+            module(kind, sigma, tau)
 
 
 def test_dimensions_for_the_standard_modules():
-    assert h_groups(lambda1_module()).dims() == (5, 9, 13)
-    assert h_groups(h1u_module()).dims() == (3, 6, 9)
+    assert h_groups(module("lambda1", *b_pair())).dims() == (5, 9, 13)
+    assert h_groups(module("h1u", *b_pair())).dims() == (3, 6, 9)
     assert h_groups(wedge_module()).dims() == (6, 12, 18)
-    assert h_groups(h1x_module()).dims() == (2, 4, 6)
+    assert h_groups(module("h1x", *b_pair())).dims() == (2, 4, 6)
 
 
 def test_invariants_of_the_group_ring_by_exhaustion():
@@ -487,7 +535,7 @@ def test_invariants_of_the_group_ring_by_exhaustion():
         if not any(row_times(v, s)) and not any(row_times(v, t)):
             count += 1
     assert count == 3**5
-    assert h_groups(lambda1_module()).h0.dim == 5
+    assert h_groups(module("lambda1", *b_pair())).h0.dim == 5
 
 
 def test_trivial_module_matches_bar_complex_oracle():
@@ -544,7 +592,7 @@ def test_listed_bases_for_the_group_ring_validate():
     """The printed degree-1 list fails at its misprinted entry 2 only; with
     the recorded reading substituted it validates."""
     tables = load_tables()
-    groups = h_groups(lambda1_module())
+    groups = h_groups(module("lambda1", *b_pair()))
     printed = validate_basis(tables.vectors("h1_lambda1"), groups, 1)
     assert printed.memberships == (True, False) + (True,) * 7
     degree_one = validate_basis(tables.read_vectors("h1_lambda1"), groups, 1)
@@ -557,7 +605,7 @@ def test_listed_bases_for_the_group_ring_validate():
 
 def test_misprint_reading_is_a_cocycle():
     [finding] = load_tables().findings("h1_lambda1")
-    _, y, _ = package_complex(lambda1_module())
+    _, y, _ = package_complex(module("lambda1", *b_pair()))
     assert not any(row_times(finding.reading, y))
 
 
@@ -566,7 +614,7 @@ def test_listed_degree_one_affine_basis_status():
     that they are the recorded findings, and that the recorded
     sign-corrected readings give a valid basis."""
     tables = load_tables()
-    groups = h_groups(h1u_module())
+    groups = h_groups(module("h1u", *b_pair()))
     val = validate_basis(tables.vectors("h1_h1u"), groups, 1)
     assert val.memberships == (True, True, True, True, False, False)
     assert [f.index for f in tables.findings("h1_h1u")] == [4, 5]
@@ -575,7 +623,7 @@ def test_listed_degree_one_affine_basis_status():
 
 def test_listed_degree_two_affine_basis_validates():
     tables = load_tables()
-    assert validate_basis(tables.vectors("h2_h1u"), h_groups(h1u_module()), 2).all_pass
+    assert validate_basis(tables.vectors("h2_h1u"), h_groups(module("h1u", *b_pair())), 2).all_pass
 
 
 def test_listed_kernel_and_image_vectors_status():
@@ -583,7 +631,7 @@ def test_listed_kernel_and_image_vectors_status():
     vectors three lie in the transpose-convention image and one lies in
     neither candidate space."""
     tables = load_tables()
-    x, y, _ = package_complex(lambda1_module())
+    x, y, _ = package_complex(module("lambda1", *b_pair()))
     for v in tables.vectors("kernel_y_lambda1"):
         assert not any(row_times(v, y))
     image = fl.row_space_basis(3, x.entries)
@@ -604,10 +652,10 @@ def test_degree_one_coboundary_oracle_matches_the_complex():
     tables = load_tables()
     rng = random.Random(31)
     for key, mod in (
-        ("kernel_y_lambda1", lambda1_module()),
-        ("image_x_lambda1", lambda1_module()),
-        ("h1_lambda1", lambda1_module()),
-        ("h1_h1u", h1u_module()),
+        ("kernel_y_lambda1", module("lambda1", *b_pair())),
+        ("image_x_lambda1", module("lambda1", *b_pair())),
+        ("h1_lambda1", module("lambda1", *b_pair())),
+        ("h1_h1u", module("h1u", *b_pair())),
     ):
         _, y, _ = package_complex(mod)
         vectors = tables.vectors(key) + tables.read_vectors(key)
@@ -675,6 +723,6 @@ def test_monomial_expressions_parse_factor_by_factor():
 
 
 def test_results_are_deterministic():
-    first = h_groups(lambda1_module())
-    second = h_groups(lambda1_module())
+    first = h_groups(module("lambda1", *b_pair()))
+    second = h_groups(module("lambda1", *b_pair()))
     assert first == second

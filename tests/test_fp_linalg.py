@@ -3,15 +3,16 @@ import random
 import pytest
 
 from fermat_homology import fp_linalg as fl
-from fermat_homology.cohomology import h_groups, lambda1_module, validate_basis
+from fermat_homology.cohomology import h_groups, module, validate_basis
 from fermat_homology.errors import NotSquare
 from fermat_homology.reference_tables import load_tables
 from oracles import closure_rank, dense_complex, identity, rref_residue, solve, times
+from test_cohomology import b_pair
 
 
 def lambda1_complex():
     """X, Y, Z of the group ring's complex, from the dense oracle."""
-    return [fl.FpMatrix.from_rows(3, d) for d in dense_complex(lambda1_module())]
+    return [fl.FpMatrix.from_rows(3, d) for d in dense_complex(module("lambda1", *b_pair()))]
 
 
 def solve_sparse(p, table, cols, bs):
@@ -306,7 +307,7 @@ def test_vectors_of_mixed_length_raise_value_error():
         fl.row_space_basis(3, [(1, 0), (0, 1, 1)])
     # validate_basis checks the lengths first, with its own message
     with pytest.raises(ValueError, match="^vector length does not match row count$"):
-        validate_basis([(1,) * 9], h_groups(lambda1_module()), 1)
+        validate_basis([(1,) * 9], h_groups(module("lambda1", *b_pair())), 1)
 
 
 def test_zero_row_matrices_keep_their_column_count():

@@ -9,10 +9,9 @@ import random
 import pytest
 
 from fermat_homology import fp_linalg as fl
-from fermat_homology.cohomology import GModule, lambda1_module
-from fermat_homology.group_ring import GroupRingElement, multiplication_matrix
-from fermat_homology.homology import action_matrix, h1U_basis
+from fermat_homology.cohomology import module
 from oracles import dense_complex, solve
+from test_cohomology import b_pair, natural_pair
 from test_fp_linalg import solve_sparse
 
 sympy_matrices = pytest.importorskip("sympy.polys.matrices")
@@ -138,17 +137,12 @@ def test_rref_does_not_depend_on_row_order(p):
             assert pivots == [next(j for j, x in enumerate(row) if x) for row in expected]
 
 
-def natural_modules(p):
-    """H1(U) and Lambda_1 with e_0 and e_1 acting by multiplication."""
-    e0 = GroupRingElement.monomial(p, 1, (1, 0))
-    e1 = GroupRingElement.monomial(p, 1, (0, 1))
-    basis = h1U_basis(p)
-    yield GModule(p, len(basis), action_matrix(e0, basis), action_matrix(e1, basis))
-    yield GModule(p, p * p, multiplication_matrix(e0), multiplication_matrix(e1))
-
-
 def test_complex_differentials_match_sympy():
-    modules = [lambda1_module(), *natural_modules(5)]
+    modules = [
+        module("lambda1", *b_pair()),
+        module("h1u", *natural_pair(5)),
+        module("lambda1", *natural_pair(5)),
+    ]
     complexes = [
         [fl.FpMatrix.from_rows(mod.p, d) for d in dense_complex(mod)] for mod in modules
     ]

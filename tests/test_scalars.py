@@ -84,3 +84,21 @@ def test_reduce_rejects_a_tuple_of_the_wrong_length(a):
     with pytest.raises(ValueError, match=f"^expected 3 coordinates, got {len(a)}$"):
         GroupRingElement(3, 0, GF27, (a, GF27.zero, GF27.zero))
 
+
+
+@pytest.mark.parametrize("b", [(1, 2), (1, 2, 0, 1)])
+def test_add_and_sub_reject_operands_of_different_lengths(b):
+    """Zipped without a check, (1, 2, 0) + (1, 2) would be cut short to (2, 1)."""
+    for op in (GF27.add, GF27.sub):
+        with pytest.raises(ValueError):
+            op((1, 2, 0), b)
+        with pytest.raises(ValueError):
+            op(b, (1, 2, 0))
+
+
+def test_elements_over_z_mod_n_share_one_ring():
+    elements = [GroupRingElement.monomial(7, 1, (i, 0)) for i in range(7)]
+    assert all(a.ring is elements[0].ring for a in elements)
+    assert GroupRingElement.one(7, 0).ring == Zmod(7)
+    with pytest.raises(TypeError):
+        GroupRingElement.one(7.0, 0)
