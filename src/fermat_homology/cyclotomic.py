@@ -13,7 +13,7 @@ from operator import index
 
 from ._value import frozen
 from .errors import ModulusMismatch
-from .scalars import is_prime
+from .scalars import _check_odd_prime
 
 
 def _reduce(p: int, full: list[int]) -> tuple[int, ...]:
@@ -31,8 +31,7 @@ class CyclotomicInt:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        _check_odd_prime(self.p)
         if len(self.coeffs) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} coefficients")
         object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))

@@ -15,7 +15,7 @@ import itertools
 from operator import index
 
 from ._value import frozen
-from .scalars import is_prime
+from .scalars import _check_odd_prime
 
 
 @frozen
@@ -31,8 +31,7 @@ class KummerCoordinates:
             raise ValueError(
                 f"expected {(self.p + 1) // 2} coordinates, got {len(self.c)}"
             )
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        _check_odd_prime(self.p)
         object.__setattr__(self, "c", tuple(index(x) % self.p for x in self.c))
 
     def __add__(self, other: "KummerCoordinates") -> "KummerCoordinates":
@@ -60,8 +59,7 @@ class PsiVector:
         # the count first: trial division of a huge p would not return
         if len(self.entries) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} entries, got {len(self.entries)}")
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
+        _check_odd_prime(self.p)
         object.__setattr__(self, "entries", tuple(index(x) % self.p for x in self.entries))
 
     def __add__(self, other: "PsiVector") -> "PsiVector":
@@ -95,8 +93,7 @@ def coordinate_sum(psi: PsiVector) -> int:
 
 def group_elements(p: int) -> list[KummerCoordinates]:
     """All p**((p+1)/2) coordinate tuples in lexicographic order."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+    _check_odd_prime(p)
     width = (p + 1) // 2
     return [
         KummerCoordinates(p, tup)

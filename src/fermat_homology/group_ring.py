@@ -15,8 +15,8 @@ entries with ``ring.zero``.
 A monomial permutes the monomial basis, so multiplying by e^s rotates the
 table: along each axis k, every block of n runs of length n^(m-k) turns by
 s_k runs.  A product is the sum of such rotations of one factor, scaled by
-the coefficients of the other, and the matrix of x -> a*x has the
-rotations of a as its rows.  Over a field of characteristic n = p the
+the coefficients of the other.  The rows of x -> b*x are read off the
+support of b (``_product_rows``).  Over a field of characteristic n = p the
 Frobenius map gives u^p = eps(u)^p for the augmentation eps, so u is a unit
 exactly when eps(u) != 0, with inverse eps(u)^(-p) u^(p-1).
 
@@ -33,7 +33,7 @@ from itertools import product
 
 from ._value import frozen
 from .errors import ArityMismatch, NotAUnit, NotSymmetric
-from .fp_linalg import FpMatrix, kernel_basis, row_space_basis
+from .fp_linalg import FpMatrix, SparseRow, _dense, kernel_basis, row_space_basis
 from .scalars import Zmod, _power, _zmod
 
 
@@ -339,16 +339,27 @@ def dlog(u: GroupRingElement) -> DifferentialElement:
     return DifferentialElement(u.n, u.m, u.ring, components)
 
 
-def multiplication_matrix(a: GroupRingElement) -> FpMatrix:
-    """Matrix of x -> a*x in the monomial basis, rows holding images.
+def _product_rows(b: GroupRingElement) -> list[SparseRow]:
+    """Sparse rows of x -> b*x in the monomial basis: row i, b*e^i, holds
+    the coefficient c of each term c*e^s of b at monomial i + s, read off
+    the index table rotated by -s (e^s * a has a[j - s] at j)."""
+    size = len(b.coeffs)
+    rows: list[SparseRow] = [{} for _ in range(size)]
+    for exps, c in b.support():
+        for row, j in zip(rows, _shift(range(size), b.n, [-s for s in exps])):
+            row[j] = c
+    return rows
 
-    Requires prime n with plain Z/n coefficients so the result is a matrix
-    over a field.
+
+def multiplication_matrix(a: GroupRingElement) -> FpMatrix:
+    """Matrix of x -> a*x in the monomial basis, the dense rows of
+    ``_product_rows``.  Requires prime n with plain Z/n coefficients so the
+    result is a matrix over a field.
     """
     if not isinstance(a.ring, Zmod) or not a.ring.is_field:
         raise ValueError("multiplication matrices require prime-field coefficients")
-    rows = [_shift(a.coeffs, a.n, exps) for exps in product(range(a.n), repeat=a.m + 1)]
-    return FpMatrix.from_rows(a.n, rows)
+    size = len(a.coeffs)
+    return FpMatrix(a.n, size, size, _dense(_product_rows(a), size))
 
 
 def annihilator(h: GroupRingElement) -> list[tuple[int, ...]]:

@@ -35,6 +35,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_odd_prime(p: int) -> None:
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 def _power(x, k: int, mul, one):
     """x^k for k >= 0 by repeated squaring under ``mul``; k = 0 gives
     ``one``.  Field scalars, group-ring elements and sparse matrices all

@@ -13,7 +13,10 @@ substituting corrected readings silently.
 
 import random
 
+import pytest
+
 from fermat_homology import fp_linalg as fl
+from fermat_homology import reproduction
 from fermat_homology.bsigma import (
     b_map_analysis,
     bsigma_p3,
@@ -149,6 +152,31 @@ def test_c05_homology_ranks():
                 assert vec[n + j] == 1
                 assert all(vec[n + k] == 0 for k in range(1, n) if k != j)
     _report(5, "homology ranks, stabilizer ranks and boundary exactness for n=3..8")
+
+
+def _listing_one_class_twice(basis):
+    """A mutant basis builder: for n >= 4 the last class repeats the first,
+    so the count stays right but the classes no longer span."""
+
+    def mutant(n):
+        classes = basis(n)
+        return classes if n < 4 else [*classes[:-1], classes[0]]
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "check_id, builder", [("c05.affine-rank", "h1U_basis"), ("c05.stab-rank", "stab_basis")]
+)
+def test_c05_rank_rows_fail_on_a_duplicated_class(monkeypatch, check_id, builder):
+    [row] = reproduction.run_checks([check_id])
+    assert row.passed
+    basis = getattr(reproduction, builder)
+    mutant = _listing_one_class_twice(basis)
+    assert all(len(mutant(n)) == len(basis(n)) for n in range(3, 9))
+    monkeypatch.setattr(reproduction, builder, mutant)
+    [row] = reproduction.run_checks([check_id])
+    assert not row.passed
 
 
 def test_c06_action_matrices():

@@ -90,6 +90,29 @@ def test_validation_errors():
             PsiVector(p, entries)
 
 
+@pytest.mark.parametrize("p", [1, 2, 4, 9])
+def test_every_odd_prime_check_gives_one_message(p):
+    builders = (
+        lambda: KummerCoordinates(p, (0,) * ((p + 1) // 2)),
+        lambda: PsiVector(p, (0,) * (p - 1)),
+        lambda: CyclotomicInt(p, (0,) * (p - 1)),
+        lambda: group_elements(p),
+    )
+    for build in builders:
+        with pytest.raises(ValueError, match=f"^p must be an odd prime, got {p}$"):
+            build()
+
+
+def test_each_record_keeps_its_order_of_checks():
+    # the count first, so a huge p is never trial-divided
+    with pytest.raises(ValueError, match=r"^expected 5 coordinates, got 1$"):
+        KummerCoordinates(9, (0,))
+    with pytest.raises(ValueError, match=r"^expected 8 entries, got 1$"):
+        PsiVector(9, (0,))
+    with pytest.raises(ValueError, match=r"^p must be an odd prime, got 9$"):
+        CyclotomicInt(9, (0,))
+
+
 def test_json_round_trip():
     k = KummerCoordinates(3, (1, 2))
     assert KummerCoordinates.from_json(k.to_json()) == k

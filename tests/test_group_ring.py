@@ -9,6 +9,7 @@ from fermat_homology.galois_kummer import KummerCoordinates, psi_from_kummer
 from fermat_homology.group_ring import (
     DifferentialElement,
     GroupRingElement,
+    _product_rows,
     augmentation,
     d_prime,
     d_prime_prime,
@@ -498,3 +499,19 @@ def test_cycle_detection_inverts_over_composite_moduli():
                 continue
             found += 1
             assert oracle_product(n, 2, ring, table, inverse.coeffs) == one
+
+
+@pytest.mark.parametrize("n,arity", [(3, 1), (5, 1), (3, 2), (5, 2), (7, 2)])
+def test_product_rows_hold_one_nonzero_per_term(n, arity):
+    rng = random.Random(f"product-rows/{n}/{arity}")
+    ring = Zmod(n)
+    for density in (0.0, 0.2, 1.0):
+        table = [rng.randrange(1, n) if rng.random() < density else 0 for _ in range(n**arity)]
+        b = GroupRingElement(n, arity - 1, ring, tuple(table))
+        rows = _product_rows(b)
+        assert len(rows) == n**arity
+        for k, row in enumerate(rows):
+            assert len(row) == len(b.support())
+            assert 0 not in row.values()
+            e_k = GroupRingElement(n, arity - 1, ring, tuple(int(i == k) for i in range(n**arity)))
+            assert row == {j: c for j, c in enumerate((b * e_k).coeffs) if c}

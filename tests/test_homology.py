@@ -345,6 +345,19 @@ def test_action_matrix_rejects_a_composite_modulus(basis):
         action_matrix(GroupRingElement.monomial(4, 1, (1, 0)), basis)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_zero_element_acts_as_the_zero_matrix(p):
+    zero = GroupRingElement.zero(p, 1)
+    basis = h1U_basis(p)
+    assert action_matrix(zero, basis) == fl.FpMatrix.from_rows(p, [[0] * len(basis)] * len(basis))
+    reps = [
+        RelativeClass(GroupRingElement(p, 1, Zmod(p), tuple(v)))
+        for v in h1X_subquotient(p).coset_basis
+    ]
+    expected = fl.FpMatrix.from_rows(p, [[0] * len(reps)] * len(reps))
+    assert action_matrix(zero, reps, modulo=stab_basis(p)) == expected
+
+
 def test_action_matrix_on_an_empty_basis_is_zero_by_zero():
     b = GroupRingElement.monomial(5, 1, (1, 0))
     empty = fl.FpMatrix(5, 0, 0, ())

@@ -4,7 +4,8 @@ Every record class is constructed positionally and by keyword, compared,
 hashed, printed and frozen the same way; the field names, their order,
 the defaults and the literal reprs below are pinned.  One test parses the
 package and fails on a class outside `_value` that defines any of these
-protocol methods itself.  A last test checks in a fresh interpreter that
+protocol methods itself, another on a module outside `group_ring` that
+names its `_shift`.  A last test checks in a fresh interpreter that
 importing the CLI pulls in neither `dataclasses` nor `inspect` nor
 `importlib.resources`.
 """
@@ -286,6 +287,20 @@ def test_only_value_defines_the_value_protocol():
                     else:
                         names = []
                     found += [f"{path.stem}.{cls.name}.{name}" for name in names if name in protocol]
+    assert found == []
+
+
+def test_only_group_ring_names_shift():
+    """The action of an element on the monomial basis stays in one module:
+    no other module imports or calls `group_ring._shift`."""
+    found = []
+    for path in sorted((SRC / "fermat_homology").glob("*.py")):
+        if path.name == "group_ring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+            if "_shift" in names:
+                found.append(f"{path.stem}:{node.lineno}")
     assert found == []
 
 
