@@ -16,20 +16,20 @@ then is the new pivot cleared from earlier rows (back-substitution).  The
 public functions take and return dense tuples and convert at their
 boundary with one scan of their input; ``cohomology`` keeps its rows
 sparse from the action matrices to the bases it reports, and
-``homology.action_matrix`` hands the sparse rows of its system straight
-to ``_solve``.
+``homology.action_matrix`` hands its sparse images and classes straight
+to ``_coordinates``.
 
-``_solve`` serves ``action_matrix``: it answers a batch of right-hand
-sides with one elimination of the augmented matrix.  Kernels need one
-elimination too, in one routine, ``_left_kernel``: the columns of a
-row-acting map are gathered from its nonzeros and scanned right to left,
-and the free-row vectors of that elimination are already the canonical
-(RREF) kernel basis; a left kernel known to contain a given subspace
-eliminates only the rows off that subspace's pivots.  Maps written as
-matrices follow the row convention used throughout the package: row k of
-a matrix holds the coordinates of the image of the k-th basis vector,
-vectors act on the left (v -> v @ M), and ``kernel_basis`` is the kernel
-of that map, {v : v @ M = 0}.
+Kernels need one elimination, in one routine, ``_left_kernel``: the
+columns of a row-acting map are gathered from its nonzeros and scanned
+right to left, and the free-row vectors of that elimination are already
+the canonical (RREF) kernel basis; a left kernel known to contain a given
+subspace eliminates only the rows off that subspace's pivots.
+``_coordinates`` reads the coordinates of a batch of target rows in the
+span of a list of rows off the left kernel of the two lists stacked.
+Maps written as matrices follow the row convention used throughout the
+package: row k of a matrix holds the coordinates of the image of the k-th
+basis vector, vectors act on the left (v -> v @ M), and ``kernel_basis``
+is the kernel of that map, {v : v @ M = 0}.
 """
 
 from __future__ import annotations
@@ -236,23 +236,27 @@ def kernel_basis(m: FpMatrix) -> list[Vector]:
     return list(_dense(_left_kernel(m.p, _sparse(m.p, m.entries)), m.rows))
 
 
-def _solve(p: int, cols: int, rows, k: int) -> list[SparseRow | None]:
-    """Sparse solutions of M x = b_t for t < k, from the sparse rows of
-    [M | b_0 ... b_(k-1)]: columns j < ``cols`` hold M and column cols + t
-    holds b_t.  One elimination serves every right-hand side; free
-    coordinates are zero and an inconsistent system gives None.
+def _coordinates(
+    p: int, targets: list[SparseRow], vectors: list[SparseRow]
+) -> list[SparseRow | None]:
+    """Coordinates {j: x_j} of each target in the span of ``vectors``, with
+    target = sum x_j vectors[j], or None for a target outside the span.
+
+    One left kernel serves every target: that of the targets stacked on the
+    vectors in reverse order.  A target in the span leads exactly one
+    vector of the kernel's RREF basis, target - sum x_j vectors[j], which
+    touches no other target; any other target leads none or one that
+    touches another target.  Reversed, vectors[j] leads a kernel vector
+    exactly when it depends on the vectors before it, so x_j is 0 for
+    those and the coordinates are on the first independent vectors.
     """
-    reduced, pivots = _rref(p, rows)
-    solutions: list[SparseRow] = [{} for _ in range(k)]
-    inconsistent: set[int] = set()
-    for row, col in zip(reduced, pivots):
-        if col >= cols:
-            inconsistent.update(row)
-            continue
-        for j, x in row.items():
-            if j >= cols:
-                solutions[j - cols][col] = x
-    return [None if cols + t in inconsistent else x for t, x in enumerate(solutions)]
+    t, last = len(targets), len(targets) + len(vectors) - 1
+    out: list[SparseRow | None] = [None] * t
+    for row in _left_kernel(p, [*targets, *vectors[::-1]]):
+        i = min(row)
+        if i < t and not any(i < k < t for k in row):
+            out[i] = {last - k: p - x for k, x in row.items() if k != i}
+    return out
 
 
 @frozen

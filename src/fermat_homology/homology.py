@@ -143,11 +143,11 @@ def action_matrix(
     or modulo class differs from b in exponent, arity or ring.  Requires
     prime n and, when there is a class to act on, coefficients in Z/n.
 
-    Row i of the linear system is monomial i: it holds the i-th
-    coefficient of each basis and modulo vector, then of each image b*W,
-    the product of W with the rows of ``_product_rows(b)``.  One sparse
-    elimination solves for every image; the basis part of each solution is
-    its row of the matrix.
+    Each image b*W is the product of W with the rows of
+    ``_product_rows(b)``, and ``fp_linalg._coordinates`` writes every image
+    in the basis and modulo vectors at once, on the first independent ones
+    (a class listed twice takes its coordinate on the first copy); the
+    basis part of an image's coordinates is its row of the matrix.
     """
     n, size = b.n, len(basis)
     if not is_prime(n):
@@ -159,12 +159,7 @@ def action_matrix(
         raise ValueError(f"action matrices are defined over Z/{n}, got {b.ring!r}")
     vectors = fp_linalg._sparse(n, [rc.w.coeffs for rc in classes])
     images = fp_linalg._matmul(n, vectors[:size], _product_rows(b))
-    cols = len(vectors)
-    rows: list[fp_linalg.SparseRow] = [{} for _ in range(n * n)]
-    for k, v in enumerate([*vectors, *images]):
-        for i, x in v.items():
-            rows[i][k] = x
-    solutions = fp_linalg._solve(n, cols, rows, size)
+    solutions = fp_linalg._coordinates(n, images, vectors)
     if any(x is None for x in solutions):
         raise NotInvariant("multiplication left the span of the basis")
     keep = [{j: x for j, x in sol.items() if j < size} for sol in solutions]

@@ -43,14 +43,19 @@ def _check_odd_prime(p: int) -> None:
 def _power(x, k: int, mul, one):
     """x^k for k >= 0 by repeated squaring under ``mul``; k = 0 gives
     ``one``.  Field scalars, group-ring elements and sparse matrices all
-    take their powers here."""
-    result = one
-    while k:
+    take their powers here.  The result starts at the power of x for k's
+    lowest set bit, so ``one`` is never multiplied in: bit_length(k) - 1
+    squarings and popcount(k) - 1 other products."""
+    if not k:
+        return one
+    while not k & 1:
+        x = mul(x, x)
+        k >>= 1
+    result = x
+    while k := k >> 1:
+        x = mul(x, x)
         if k & 1:
             result = mul(result, x)
-        k >>= 1
-        if k:
-            x = mul(x, x)
     return result
 
 

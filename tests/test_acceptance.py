@@ -179,6 +179,29 @@ def test_c05_rank_rows_fail_on_a_duplicated_class(monkeypatch, check_id, builder
     assert not row.passed
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_c05_projective_rank_fails_on_a_duplicated_coset(monkeypatch, n):
+    """The coset list at prime n with its last class replaced by the first:
+    the count stays right but the cosets no longer span the quotient."""
+    [row] = reproduction.run_checks(["c05.projective-rank"])
+    assert row.passed
+    subquotient = reproduction.h1X_subquotient
+
+    def mutant(m):
+        report = subquotient(m)
+        if m != n:
+            return report
+        coset = report.coset_basis
+        return fl.SubquotientReport(
+            report.ambient_dim, report.kernel_basis, report.image_basis, (*coset[:-1], coset[0])
+        )
+
+    assert mutant(n).dim == subquotient(n).dim
+    monkeypatch.setattr(reproduction, "h1X_subquotient", mutant)
+    [row] = reproduction.run_checks(["c05.projective-rank"])
+    assert not row.passed
+
+
 def test_c06_action_matrices():
     tables = load_tables()
     mod = module("lambda1", *b_pair())

@@ -16,15 +16,11 @@ def lambda1_complex():
 
 
 def solve_sparse(p, table, cols, bs):
-    """``fl._solve`` on the sparse rows of [M | b_0 ... b_(k-1)] for M given
-    by its rows, with the solutions densified."""
-    rows = fl._sparse(p, table)
-    for k, b in enumerate(bs, start=cols):
-        assert len(b) == len(rows)
-        for i, x in enumerate(b):
-            if x % p:
-                rows[i][k] = x % p
-    solutions = fl._solve(p, cols, rows, len(bs))
+    """The solutions x of M x = b_t for M given by its rows: ``fl._coordinates``
+    of each b_t in the columns of M, densified."""
+    assert all(len(b) == len(table) for b in bs)
+    columns = fl._sparse(p, [[row[j] for row in table] for j in range(cols)])
+    solutions = fl._coordinates(p, fl._sparse(p, bs), columns)
     return [None if x is None else fl._dense([x], cols)[0] for x in solutions]
 
 
@@ -265,6 +261,14 @@ def test_solve_round_trip():
         assert check == b
     assert solve_sparse(3, [[0, 0], [0, 0]], 2, [(1, 0)])[0] is None
     assert solve(3, [[0, 0], [0, 0]], 2, (1, 0)) is None
+
+
+def test_equal_targets_outside_the_span_both_get_none():
+    # the kernel holds target 0 - target 1, which target 0 leads; read off
+    # without looking at the other targets it would give target 0 coordinates
+    vectors = fl._sparse(5, [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    targets = fl._sparse(5, [(0, 0, 1), (0, 0, 1), (1, 2, 0), (0, 0, 0)])
+    assert fl._coordinates(5, targets, vectors) == [None, None, {0: 1, 1: 2}, {}]
 
 
 def test_rref_clears_a_new_pivot_from_an_earlier_pivot_row():

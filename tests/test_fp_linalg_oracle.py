@@ -76,7 +76,7 @@ def test_rank_kernel_image_and_row_space_match_sympy(p, rows, cols, density):
 
 @pytest.mark.parametrize("p, rows, cols, density", cases())
 def test_solve_many_matches_solve_column_by_column(p, rows, cols, density):
-    """``fl._solve`` on many right-hand sides at once against one at a
+    """``solve_sparse`` on many right-hand sides at once against one at a
     time, sympy's left null space and the Gauss-Jordan oracle."""
     rng = random.Random(f"solve/{p}/{rows}x{cols}/{density}")
     table = random_rows(rng, p, rows, cols, density)

@@ -382,7 +382,7 @@ def test_powers_of_unreduced_tables_match_repeated_oracle_products(ring):
     u = GroupRingElement(n, 1, ring, table)
     expected = GroupRingElement.one(n, 1, ring).coeffs
     for k in range(5):
-        # every power is a product from the one, so even u ** 1 comes back reduced
+        # the table is reduced when u is made, so even u ** 1 comes back reduced
         assert (u**k).coeffs == expected
         expected = oracle_product(n, 2, ring, expected, table)
 

@@ -302,6 +302,18 @@ def test_batched_action_matrix_matches_one_solve_per_vector_on_h1x():
             assert action_matrix(b, reps, modulo=stab) == expected
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_action_matrix_on_a_class_listed_twice_uses_the_first_copy(n):
+    basis = h1U_basis(n)
+    doubled = [basis[0], *basis]
+    for b in natural_generators(n):
+        rows = action_matrix(b, basis).entries
+        # the coordinate goes on the first copy and 0 on the second
+        expected = fl.FpMatrix.from_rows(n, [(x, 0, *rest) for x, *rest in (rows[0], *rows)])
+        assert action_matrix(b, doubled) == expected
+        assert action_matrix_one_solve_per_vector(b, doubled) == expected
+
+
 def test_batched_action_matrix_rejects_an_image_outside_the_span():
     # the span of all corner classes but the last is not e_0-invariant
     basis = h1U_basis(5)[:-1]

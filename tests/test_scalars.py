@@ -1,12 +1,15 @@
 """Products in F_{p^k} against long division by the modulus."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
+from fermat_homology import fp_linalg
 from fermat_homology.group_ring import GroupRingElement
-from fermat_homology.scalars import GF27, PrimeExtensionField, Zmod
+from fermat_homology.scalars import GF27, PrimeExtensionField, Zmod, _power
 from oracles import long_division_product
 
 # Irreducible moduli; the last two have a nonzero t^(k-1) term, so folding
@@ -102,3 +105,30 @@ def test_elements_over_z_mod_n_share_one_ring():
     assert GroupRingElement.one(7, 0).ring == Zmod(7)
     with pytest.raises(TypeError):
         GroupRingElement.one(7.0, 0)
+
+
+def power_cases():
+    """(x, mul, one) for an int, a group-ring element and sparse matrix rows."""
+    rng = random.Random("powers")
+    u = GroupRingElement(5, 1, Zmod(5), tuple(rng.randrange(5) for _ in range(25)))
+    rows = fp_linalg._sparse(5, [[rng.randrange(5) for _ in range(4)] for _ in range(4)])
+    return [
+        (3, operator.mul, 1),
+        (u, operator.mul, GroupRingElement.one(5, 1)),
+        (rows, functools.partial(fp_linalg._matmul, 5), [{i: 1} for i in range(4)]),
+    ]
+
+
+@pytest.mark.parametrize("k", range(18))
+def test_power_squares_once_per_bit_and_never_multiplies_by_one(k):
+    for x, mul, one in power_cases():
+        calls = {"square": 0, "other": 0}
+
+        def counted(a, b):
+            assert a is not one and b is not one
+            calls["square" if a is b else "other"] += 1
+            return mul(a, b)
+
+        assert _power(x, k, counted, one) == functools.reduce(mul, [x] * k, one)
+        squares, others = k.bit_length() - 1, bin(k).count("1") - 1
+        assert calls == {"square": max(squares, 0), "other": max(others, 0)}
