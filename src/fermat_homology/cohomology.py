@@ -58,8 +58,8 @@ from .bsigma import bsigma_p3
 from .errors import ArityMismatch, ContainmentViolation, InvalidAction
 from .fp_linalg import FpMatrix, SparseRow, SubquotientReport
 from .group_ring import GroupRingElement, multiplication_matrix
-from .homology import RelativeClass, action_matrix, h1U_basis, h1X_subquotient, stab_basis
-from .scalars import _power, _zmod
+from .homology import _h1X_classes, action_matrix, h1U_basis, stab_basis
+from .scalars import _power
 
 
 @frozen
@@ -100,16 +100,15 @@ class GModule:
 
 
 def _one_minus(act: FpMatrix) -> list[SparseRow]:
-    """1 - act as sparse rows, each entry reduced as it is read."""
+    """1 - act as sparse rows: the rows of ``fp_linalg._sparse`` negated,
+    with 1 - a_ii on the diagonal, left out where it vanishes."""
     p = act.p
     rows = []
-    for i, entries in enumerate(act.entries):
-        row = {j: y for j, x in enumerate(entries) if x and (y := -x % p)}
-        diagonal = (1 - entries[i]) % p
+    for i, row in enumerate(fp_linalg._sparse(p, act.entries)):
+        diagonal = (1 - row.pop(i, 0)) % p
+        row = {j: p - x for j, x in row.items()}
         if diagonal:
             row[i] = diagonal
-        else:
-            del row[i]
         rows.append(row)
     return rows
 
@@ -211,10 +210,10 @@ def module(kind: str, sigma: GroupRingElement, tau: GroupRingElement) -> GModule
     """The module ``kind`` over Z/p, p = sigma.n, with the generators acting
     by multiplication by the two-variable elements sigma and tau: the group
     ring Lambda_1 itself ("lambda1"), the affine homology on ``h1U_basis``
-    ("h1u"), or the projective homology on the coset basis of
-    ``h1X_subquotient`` modulo ``stab_basis`` ("h1x").  The paper's modules
-    take the B multipliers ``bsigma_p3(1, 0)`` and ``bsigma_p3(0, 1)``; the
-    natural action takes e_0 and e_1."""
+    ("h1u"), or the projective homology on its coset classes,
+    ``homology._h1X_classes``, modulo ``stab_basis`` ("h1x").  The paper's
+    modules take the B multipliers ``bsigma_p3(1, 0)`` and
+    ``bsigma_p3(0, 1)``; the natural action takes e_0 and e_1."""
     p = sigma.n
     if sigma.m != 1:
         raise ArityMismatch(f"multipliers are two-variable elements, got m={sigma.m}")
@@ -224,11 +223,7 @@ def module(kind: str, sigma: GroupRingElement, tau: GroupRingElement) -> GModule
     elif kind == "h1u":
         act = functools.partial(action_matrix, basis=h1U_basis(p))
     elif kind == "h1x":
-        reps = [
-            RelativeClass(GroupRingElement(p, 1, _zmod(p), v))
-            for v in h1X_subquotient(p).coset_basis
-        ]
-        act = functools.partial(action_matrix, basis=reps, modulo=stab_basis(p))
+        act = functools.partial(action_matrix, basis=_h1X_classes(p), modulo=stab_basis(p))
     else:
         raise ValueError(f"unknown module {kind!r}; expected lambda1, h1u or h1x")
     act_sigma = act(sigma)

@@ -31,9 +31,10 @@ class CyclotomicInt:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        _check_odd_prime(self.p)
+        # the count first: trial division of a huge p would not return
         if len(self.coeffs) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} coefficients")
+        _check_odd_prime(self.p)
         object.__setattr__(self, "coeffs", tuple(map(index, self.coeffs)))
 
     @classmethod

@@ -107,26 +107,26 @@ def stab_basis(n: int) -> list[RelativeClass]:
     return out
 
 
-def h1X_subquotient(n: int) -> fp_linalg.SubquotientReport:
-    """Homology of the projective curve as kernel mod shift-invariants.
+def _h1X_classes(n: int) -> list[RelativeClass]:
+    """Coset representatives of the projective homology: the corner
+    classes (i, j) with j >= 1, in (i, j) order.
 
-    The coset representatives are the kernel basis vectors with column
-    index j >= 1; eliminating the j = 0 vectors against the n-1 stabilizer
+    Eliminating the j = 0 corner classes against the n-1 stabilizer
     relations (each has unit coefficient there) shows these (n-1)(n-2)
     classes form a basis of the quotient over Z/n for every n.
     """
-    kernel = [rc.w.coeffs for rc in h1U_basis(n)]
-    image = [rc.w.coeffs for rc in stab_basis(n)]
-    coset = [
-        _corner_class(n, i, j).w.coeffs
-        for i in range(n - 1)
-        for j in range(1, n - 1)
-    ]
+    return [_corner_class(n, i, j) for i in range(n - 1) for j in range(1, n - 1)]
+
+
+def h1X_subquotient(n: int) -> fp_linalg.SubquotientReport:
+    """Homology of the projective curve as kernel mod shift-invariants:
+    ``h1U_basis`` modulo ``stab_basis``, with the coefficient vectors of
+    ``_h1X_classes`` as coset basis."""
     return fp_linalg.SubquotientReport(
         ambient_dim=n * n,
-        kernel_basis=tuple(kernel),
-        image_basis=tuple(image),
-        coset_basis=tuple(coset),
+        kernel_basis=tuple(rc.w.coeffs for rc in h1U_basis(n)),
+        image_basis=tuple(rc.w.coeffs for rc in stab_basis(n)),
+        coset_basis=tuple(rc.w.coeffs for rc in _h1X_classes(n)),
     )
 
 

@@ -13,6 +13,7 @@ from fermat_homology.cohomology import (
     CohomologyGroups,
     GModule,
     _differential,
+    _one_minus,
     h_groups,
     module,
     validate_basis,
@@ -25,13 +26,20 @@ from fermat_homology.group_ring import (
     ideal_span,
     multiplication_matrix,
 )
-from fermat_homology.homology import action_matrix, h1U_basis
+from fermat_homology.homology import (
+    RelativeClass,
+    action_matrix,
+    h1U_basis,
+    h1X_subquotient,
+    stab_basis,
+)
 from fermat_homology.reference_tables import (
     ReferenceTables,
     load_tables,
     parse_element,
     parse_v_combination,
 )
+from fermat_homology.scalars import Zmod
 from oracles import (
     bar_cohomology_trivial,
     closure_rank,
@@ -388,6 +396,22 @@ def test_norm_equals_the_sum_of_powers(p):
     assert mod.blocks == (one_minus(mod.act_sigma), one_minus(mod.act_tau), *norms)
 
 
+@pytest.mark.parametrize("n", (0, 1, 4, 9))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11))
+def test_one_minus_is_the_sparse_form_of_the_dense_oracle(p, n):
+    """Entries from [-2p, 3p), unreduced and negative, and every other
+    diagonal entry congruent to 1, so that 1 - a_ii vanishes there and
+    must be left out of its row, not stored as 0."""
+    rng = random.Random(f"one-minus/{p}/{n}")
+    entries = [[rng.randrange(-2 * p, 3 * p) for _ in range(n)] for _ in range(n)]
+    for i in range(0, n, 2):
+        entries[i][i] = 1 + p * rng.randrange(-2, 3)
+    act = fl.FpMatrix(p, n, n, tuple(map(tuple, entries)))
+    expected = [{j: x for j, x in enumerate(row) if x} for row in one_minus(act).entries]
+    assert _one_minus(act) == expected
+    assert all(i not in row for i, row in enumerate(expected) if i % 2 == 0)
+
+
 def test_trivial_module_complex_is_zero():
     x, y, z = package_complex(trivial_module(3, 1))
     assert x.is_zero() and y.is_zero() and z.is_zero()
@@ -499,6 +523,20 @@ def test_module_under_the_natural_action_multiplies_by_e0_and_e1(p):
     h1u = GModule(p, len(basis), action_matrix(e0, basis), action_matrix(e1, basis))
     assert module("lambda1", e0, e1) == lambda1
     assert module("h1u", e0, e1) == h1u
+
+
+@pytest.mark.parametrize(
+    "p, pair", ((3, b_pair()), (5, natural_pair(5)), (7, natural_pair(7))), ids=("B-3", "e-5", "e-7")
+)
+def test_h1x_module_acts_on_the_printed_coset_basis(p, pair):
+    """The classes re-wrapped from the coset vectors that
+    ``h1X_subquotient`` prints, acted on modulo ``stab_basis``."""
+    cosets = [
+        RelativeClass(GroupRingElement(p, 1, Zmod(p), tuple(v)))
+        for v in h1X_subquotient(p).coset_basis
+    ]
+    actions = [action_matrix(b, cosets, modulo=stab_basis(p)) for b in pair]
+    assert module("h1x", *pair) == GModule(p, len(cosets), *actions)
 
 
 @pytest.mark.parametrize(

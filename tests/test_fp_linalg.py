@@ -320,7 +320,7 @@ def test_zero_row_matrices_keep_their_column_count():
     assert fl.FpMatrix(3, 2, 3, ((0,) * 3,) * 2) == fl.FpMatrix.from_rows(3, [[0] * 3] * 2)
 
 
-def test_solve_many_on_a_matrix_without_rows():
+def test_coordinates_on_a_matrix_without_rows():
     assert solve_sparse(5, [], 3, [(), ()]) == [(0, 0, 0), (0, 0, 0)]
     assert solve_sparse(5, [], 3, [()])[0] == (0, 0, 0)
     assert solve(5, [], 3, ()) == (0, 0, 0)

@@ -104,7 +104,7 @@ def test_solve_many_matches_solve_column_by_column(p, rows, cols, density):
     assert any(x is None for x in solutions) == bool(left_null)
 
 
-def test_solve_many_flags_an_inconsistent_column_among_consistent_ones():
+def test_coordinates_flag_an_inconsistent_column_among_consistent_ones():
     m = [[1, 2], [2, 4]]
     bs = [(1, 1), (3, 1), (0, 1)]
     assert solve_sparse(5, m, 2, bs) == [None, (3, 0), None]

@@ -109,8 +109,12 @@ def test_each_record_keeps_its_order_of_checks():
         KummerCoordinates(9, (0,))
     with pytest.raises(ValueError, match=r"^expected 8 entries, got 1$"):
         PsiVector(9, (0,))
-    with pytest.raises(ValueError, match=r"^p must be an odd prime, got 9$"):
+    with pytest.raises(ValueError, match=r"^expected 8 coefficients$"):
         CyclotomicInt(9, (0,))
+    # a product of two primes near 10^6 with no coefficients: trial
+    # division would only then find its factor
+    with pytest.raises(ValueError, match=r"^expected 1000036000098 coefficients$"):
+        CyclotomicInt(1000003 * 1000033, ())
 
 
 def test_json_round_trip():
